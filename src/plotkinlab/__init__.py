@@ -28,7 +28,6 @@ from .codes import (
     polar_encode,
     polar_reliabilities,
     polar_spec,
-    rm_encode,
     rm_generator_rows,
     rm_spec,
 )
@@ -41,7 +40,6 @@ from .decoding import (
     majority_decode_repetition,
     map_decode,
     parity_adjusted_add,
-    sc_decode_polar,
     soft_map_llrs,
     soft_reencode,
 )

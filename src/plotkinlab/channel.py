@@ -52,6 +52,19 @@ def bursty(sigma: float, burst_prob: float = 0.1, burst_sigma_mult: float = np.s
     return Channel(BURSTY, sigma, burst_prob, burst_sigma_mult * sigma)
 
 
+def make_channel(kind: str, sigma: float, burst_prob: float = 0.1,
+                 burst_sigma_mult: float = float(np.sqrt(2.0))) -> Channel:
+    """The channel named by kind at noise level sigma; the burst parameters
+    apply to the bursty channel only."""
+    if kind == AWGN:
+        return awgn(sigma)
+    if kind == RAYLEIGH:
+        return rayleigh_fast(sigma)
+    if kind == BURSTY:
+        return bursty(sigma, burst_prob, burst_sigma_mult)
+    raise ValueError(f"unknown channel {kind!r}")
+
+
 def snr_to_sigma(snr_db: float) -> float:
     """Noise standard deviation for a given SNR in dB (0 dB -> sigma = 1)."""
     return float(10.0 ** (-snr_db / 20.0))
@@ -82,23 +95,29 @@ def modulate_normalize(c) -> np.ndarray:
     return out[0] if single else out
 
 
-def transmit(x, ch: Channel, rng: np.random.Generator) -> np.ndarray:
-    """Pass symbols through the channel, drawing noise from rng.
+def draw_noise(ch: Channel, shape, rng: np.random.Generator):
+    """One channel draw for symbols of the given shape: (gain, offset) with
+    y = gain * x + offset, where gain is None (unit) unless the channel fades.
 
-    awgn:     y = x + n,           n ~ N(0, sigma^2)
-    rayleigh: y = a*x + n,         a Rayleigh with E[a^2] = 1
-    bursty:   y = x + n + w,       w ~ N(0, burst_sigma^2) w.p. burst_prob
+    awgn:     offset = n,          n ~ N(0, sigma^2)
+    rayleigh: gain = a, offset = n, a Rayleigh with E[a^2] = 1
+    bursty:   offset = n + w,      w ~ N(0, burst_sigma^2) w.p. burst_prob
     """
-    x = np.asarray(x, dtype=np.float64)
-    noise = ch.sigma * rng.standard_normal(x.shape)
+    noise = ch.sigma * rng.standard_normal(shape)
     if ch.kind == AWGN:
-        return x + noise
+        return None, noise
     if ch.kind == RAYLEIGH:
-        a = rng.rayleigh(scale=1.0 / np.sqrt(2.0), size=x.shape)
-        return a * x + noise
-    hits = rng.random(x.shape) < ch.burst_prob
-    bursts = ch.burst_sigma * rng.standard_normal(x.shape)
-    return x + noise + np.where(hits, bursts, 0.0)
+        return rng.rayleigh(scale=1.0 / np.sqrt(2.0), size=shape), noise
+    hits = rng.random(shape) < ch.burst_prob
+    bursts = ch.burst_sigma * rng.standard_normal(shape)
+    return None, noise + np.where(hits, bursts, 0.0)
+
+
+def transmit(x, ch: Channel, rng: np.random.Generator) -> np.ndarray:
+    """Pass symbols through the channel, drawing noise from rng."""
+    x = np.asarray(x, dtype=np.float64)
+    gain, offset = draw_noise(ch, x.shape, rng)
+    return x + offset if gain is None else gain * x + offset
 
 
 def channel_llr(y, sigma: float) -> np.ndarray:

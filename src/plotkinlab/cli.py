@@ -18,9 +18,10 @@ import numpy as np
 
 from . import __version__
 from .codes import build_polar_tree, build_rm_tree, polar_spec, rm_spec
-from .decoding import dumer_decode, fht_map_decode_rm1, map_decode
 from .evaluation import (
+    UnsupportedDecoder,
     bler_decomposition,
+    check_decoder,
     count_decode_ops,
     ko_system,
     pairwise_distance_histogram,
@@ -29,7 +30,7 @@ from .evaluation import (
     rm_system,
     simulate_error_rates,
 )
-from .ko import build_ko_model, ko_decode, ko_encode, load_checkpoint, save_checkpoint
+from .ko import build_ko_model, load_checkpoint, save_checkpoint
 from .training import TrainConfig, train
 
 
@@ -42,6 +43,22 @@ def default_threads() -> int:
     if env:
         return max(1, int(env))
     return os.cpu_count() or 1
+
+
+def _int_at_least(lowest: int):
+    """argparse type: an integer no smaller than lowest."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be >= {lowest}, got {value}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
+
+
+positive_int = _int_at_least(1)
+nonnegative_int = _int_at_least(0)
 
 
 def parse_snr_grid(text: str) -> list[float]:
@@ -99,7 +116,7 @@ def read_real_file(path: str, fmt: str, width: int) -> np.ndarray:
         flat = np.fromfile(path, dtype="<f8")
         if flat.size == 0 or flat.size % width:
             raise UsageError(f"{path}: length {flat.size} is not a multiple of {width}")
-        return flat.reshape(-1, width)
+        return _finite(path, flat.reshape(-1, width))
     rows = []
     with open(path) as fh:
         for line in fh:
@@ -112,7 +129,13 @@ def read_real_file(path: str, fmt: str, width: int) -> np.ndarray:
             rows.append(vals)
     if not rows:
         raise UsageError(f"{path}: no data rows found")
-    return np.array(rows)
+    return _finite(path, np.array(rows))
+
+
+def _finite(path: str, data: np.ndarray) -> np.ndarray:
+    if not np.isfinite(data).all():
+        raise UsageError(f"{path}: non-finite value (nan or inf) in input")
+    return data
 
 
 def write_real_file(path: str, data: np.ndarray, fmt: str, header: str) -> None:
@@ -140,8 +163,9 @@ def _load_system(args):
         return polar_system(spec, args.decoder or "sc")
     if args.code == "ko":
         _require(args.checkpoint is not None, "--code ko needs --checkpoint")
+        check_decoder("ko", args.decoder)
         model = load_checkpoint(args.checkpoint)
-        return ko_system(model, binarized=getattr(args, "binarized", False))
+        return ko_system(model, binarized=args.binarized)
     raise UsageError(f"unknown code {args.code!r}")
 
 
@@ -207,53 +231,21 @@ def _leaf_labels(node: dict) -> list[str]:
 
 
 def cmd_encode(args, argv) -> int:
-    header = provenance(argv)
-    if args.code == "ko":
-        _require(args.checkpoint is not None, "--code ko needs --checkpoint")
-        model = load_checkpoint(args.checkpoint)
-        msgs = read_bits_file(args.infile, model.k)
-        symbols = ko_encode(model, msgs)
-    else:
-        system = _load_system(args)
-        msgs = read_bits_file(args.infile, system.k)
-        symbols = system.encode(msgs)
-    write_real_file(args.outfile, symbols, args.format, header)
+    system = _load_system(args)
+    msgs = read_bits_file(args.infile, system.k)
+    write_real_file(args.outfile, system.encode(msgs), args.format, provenance(argv))
     return 0
 
 
 def cmd_decode(args, argv) -> int:
-    header = provenance(argv)
-    if args.code == "ko":
-        _require(args.checkpoint is not None, "--code ko needs --checkpoint")
-        model = load_checkpoint(args.checkpoint)
-        y = read_real_file(args.infile, args.format, model.n)
-        _, result = ko_decode(model, y)
-        bits = result.message
-    elif args.code == "rm":
-        _require(args.m is not None and args.r is not None, "--code rm needs --m and --r")
-        tree = build_rm_tree(args.m, args.r)
-        llrs = read_real_file(args.infile, args.format, tree.n)
-        decoder = args.decoder or "dumer"
-        if decoder == "dumer":
-            bits = dumer_decode(tree, llrs).message
-        elif decoder == "map":
-            from .codes import enumerate_codebook
-
-            bits, _ = map_decode(enumerate_codebook(tree), llrs)
-        elif decoder == "fht-map":
-            _require(args.r == 1, "--decoder fht-map needs a first-order code")
-            _, bits = fht_map_decode_rm1(llrs, args.m)
-        else:
-            raise UsageError(f"unknown decoder {decoder!r}")
-    elif args.code == "polar":
-        _require(args.n is not None and args.k is not None, "--code polar needs --n and --k")
-        spec = polar_spec(args.n, args.k, args.design_z0)
-        tree = build_polar_tree(spec)
-        llrs = read_real_file(args.infile, args.format, tree.n)
-        bits = dumer_decode(tree, llrs).message
+    """Decode a file of channel LLRs (rm, polar) or raw received symbols (ko)."""
+    system = _load_system(args)
+    data = read_real_file(args.infile, args.format, system.n)
+    if system.decode_llrs is None:
+        bits = system.decode(data, None)
     else:
-        raise UsageError(f"unknown code {args.code!r}")
-    write_bits_file(args.outfile, bits, header)
+        bits = system.decode_llrs(data).message
+    write_bits_file(args.outfile, bits, provenance(argv))
     return 0
 
 
@@ -352,7 +344,8 @@ def cmd_analyze_pairwise(args, argv) -> int:
 def cmd_analyze_bler(args, argv) -> int:
     system = _load_system(args)
     contribs, bler = bler_decomposition(system, args.channel, args.snr_value,
-                                        args.blocks, args.seed)
+                                        args.blocks, args.seed, args.burst_prob,
+                                        args.burst_sigma_mult)
     if args.json:
         print(json.dumps({"bler": bler,
                           "contributions": [vars(c) for c in contribs]},
@@ -454,12 +447,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_code_args(p_sim)
     _add_channel_args(p_sim)
     p_sim.add_argument("--snr", required=True, help="dB value or lo:step:hi")
-    p_sim.add_argument("--blocks", type=int, default=10000)
-    p_sim.add_argument("--min-block-errors", dest="min_block_errors", type=int,
-                       default=100)
-    p_sim.add_argument("--max-blocks", dest="max_blocks", type=int)
+    p_sim.add_argument("--blocks", type=positive_int, default=10000)
+    p_sim.add_argument("--min-block-errors", dest="min_block_errors",
+                       type=nonnegative_int, default=100)
+    p_sim.add_argument("--max-blocks", dest="max_blocks", type=positive_int)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--threads", type=int, default=default_threads())
+    p_sim.add_argument("--threads", type=positive_int, default=default_threads())
     p_sim.add_argument("--json", action="store_true")
     p_sim.add_argument("--out")
     p_sim.set_defaults(func=cmd_simulate)
@@ -494,8 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_code_args(p_pd)
     p_pd.add_argument("--mode", choices=["exhaustive", "random"],
                       default="exhaustive")
-    p_pd.add_argument("--bins", type=int, default=100)
-    p_pd.add_argument("--pairs", type=int, default=100000)
+    p_pd.add_argument("--bins", type=positive_int, default=100)
+    p_pd.add_argument("--pairs", type=positive_int, default=100000)
     p_pd.add_argument("--seed", type=int, default=0)
     p_pd.add_argument("--json", action="store_true")
     p_pd.add_argument("--out")
@@ -506,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_code_args(p_bd)
     _add_channel_args(p_bd)
     p_bd.add_argument("--snr", dest="snr_value", type=float, required=True)
-    p_bd.add_argument("--blocks", type=int, default=10000)
+    p_bd.add_argument("--blocks", type=positive_int, default=10000)
     p_bd.add_argument("--seed", type=int, default=0)
     p_bd.add_argument("--json", action="store_true")
     p_bd.add_argument("--out")
@@ -528,7 +521,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args, argv)
-    except UsageError as exc:
+    except (UsageError, UnsupportedDecoder) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

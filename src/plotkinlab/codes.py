@@ -264,10 +264,6 @@ def tree_encode(tree: PlotkinTree, msg) -> np.ndarray:
     return out[0] if single else out
 
 
-def rm_encode(tree: PlotkinTree, msg) -> np.ndarray:
-    return tree_encode(tree, msg)
-
-
 def rm_generator_rows(m: int, r: int) -> np.ndarray:
     """Rows of the Kronecker generator with Hamming weight >= 2^(m-r)."""
     if not 0 <= r <= m:

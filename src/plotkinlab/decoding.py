@@ -193,14 +193,13 @@ class LeafDecodeData:
 
     signs lists the +/-1 codeword images (for first-order leaves in the
     virtual order: +H rows then -H rows, so that correlation scores are the
-    transform and its negation). mask0[i] / mask1[i] select the codewords
-    whose message bit i is 0 / 1.
+    transform and its negation). mask0[i] selects the codewords whose
+    message bit i is 0.
     """
 
     signs: np.ndarray  # (V, length) float64
     messages: np.ndarray  # (V, k) uint8
     mask0: np.ndarray  # (k, V) bool
-    mask1: np.ndarray  # (k, V) bool
     generator: np.ndarray  # (k, length) uint8
     is_first_order: bool
 
@@ -225,7 +224,7 @@ def leaf_decode_data(kind: str, m: int) -> LeafDecodeData:
         cw = encode_leaf(leaf, msgs)
         signs = 1.0 - 2.0 * cw.astype(np.float64)
     mask0 = (msgs == 0).T.copy()
-    return LeafDecodeData(signs, msgs, mask0, ~mask0, gen, kind == FIRST_ORDER)
+    return LeafDecodeData(signs, msgs, mask0, gen, kind == FIRST_ORDER)
 
 
 def _leaf_k(kind: str, m: int) -> int:
@@ -256,6 +255,34 @@ def softmap_scores(leaf: Leaf, l: np.ndarray, ops=None) -> np.ndarray:
     return scores
 
 
+def max_log_llrs(scores: np.ndarray, bit_is_zero: np.ndarray):
+    """Per-bit max-log LLRs from a (B, V) score matrix over V candidates.
+
+    bit_is_zero[i, c] tells whether candidate c carries bit i = 0. Bit i
+    gets the highest score among its bit-0 candidates minus the highest
+    among its bit-1 candidates. Returns (llrs (B,k), arg0, arg1), where
+    arg0/arg1 index the two selected candidates per bit; argmax ties take
+    the lowest index.
+    """
+    batch = scores.shape[0]
+    k = bit_is_zero.shape[0]
+    rows = np.arange(batch)
+    llrs = np.empty((batch, k), dtype=np.float64)
+    arg0 = np.empty((batch, k), dtype=np.int64)
+    arg1 = np.empty((batch, k), dtype=np.int64)
+    for i in range(k):
+        idx0 = np.flatnonzero(bit_is_zero[i])
+        idx1 = np.flatnonzero(~bit_is_zero[i])
+        s0 = scores[:, idx0]
+        s1 = scores[:, idx1]
+        a0 = np.argmax(s0, axis=1)
+        a1 = np.argmax(s1, axis=1)
+        arg0[:, i] = idx0[a0]
+        arg1[:, i] = idx1[a1]
+        llrs[:, i] = s0[rows, a0] - s1[rows, a1]
+    return llrs, arg0, arg1
+
+
 def softmap_forward(leaf: Leaf, l: np.ndarray, ops=None):
     """Max-log per-bit LLRs for a leaf, with the argmax pair per bit.
 
@@ -265,25 +292,10 @@ def softmap_forward(leaf: Leaf, l: np.ndarray, ops=None):
     gradients and for re-encoding checks).
     """
     data = leaf_decode_data(leaf.kind, leaf.m)
-    scores = softmap_scores(leaf, l, ops)
-    batch = scores.shape[0]
-    k = data.mask0.shape[0]
-    llrs = np.empty((batch, k), dtype=np.float64)
-    arg0 = np.empty((batch, k), dtype=np.int64)
-    arg1 = np.empty((batch, k), dtype=np.int64)
-    for i in range(k):
-        idx0 = np.flatnonzero(data.mask0[i])
-        idx1 = np.flatnonzero(data.mask1[i])
-        s0 = scores[:, idx0]
-        s1 = scores[:, idx1]
-        a0 = np.argmax(s0, axis=1)
-        a1 = np.argmax(s1, axis=1)
-        arg0[:, i] = idx0[a0]
-        arg1[:, i] = idx1[a1]
-        llrs[:, i] = s0[np.arange(batch), a0] - s1[np.arange(batch), a1]
+    llrs, arg0, arg1 = max_log_llrs(softmap_scores(leaf, l, ops), data.mask0)
     if ops is not None:
-        v = data.signs.shape[0]
-        ops.count(comparisons=batch * k * (v - 2), adds=batch * k)
+        batch, k = llrs.shape
+        ops.count(comparisons=batch * k * (data.signs.shape[0] - 2), adds=batch * k)
     return llrs, arg0, arg1
 
 
@@ -431,12 +443,6 @@ def dumer_decode(tree: PlotkinTree, llr, leaf_rule: str = HARD_MAP, ops=None) ->
         return DecodeResult(message[0], None if out_llrs is None else out_llrs[0],
                             labels, slices, [r[0] for r in records])
     return DecodeResult(message, out_llrs, labels, slices, records)
-
-
-def sc_decode_polar(tree: PlotkinTree, llr, ops=None) -> DecodeResult:
-    """Successive cancellation decoding: the tree recursion with frozen
-    leaves pinned to the zero word (identity parity contribution)."""
-    return dumer_decode(tree, llr, HARD_MAP, ops)
 
 
 @lru_cache(maxsize=None)

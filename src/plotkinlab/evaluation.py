@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import bpsk
-from .channel import AWGN, Channel, awgn, bursty, channel_llr, rayleigh_fast, snr_to_sigma, transmit
+from .channel import Channel, awgn, channel_llr, make_channel, snr_to_sigma, transmit
 from .codes import (
     PlotkinTree,
     PolarSpec,
@@ -22,7 +22,7 @@ from .codes import (
     enumerate_codebook,
     tree_encode,
 )
-from .decoding import HARD_MAP, SOFT_MAP, dumer_decode, fht_map_decode_rm1, map_decode
+from .decoding import HARD_MAP, SOFT_MAP, DecodeResult, dumer_decode, fht_map_decode_rm1, map_decode
 
 CHUNK_BLOCKS = 10000
 
@@ -128,6 +128,29 @@ def results_to_csv(results: list[SimResult], path, preamble: str | None = None) 
 # Code systems: a uniform encode/decode interface for the simulator
 # ---------------------------------------------------------------------------
 
+# Decoders each code family accepts, by name; the first is the default.
+DECODERS = {
+    "rm": ("dumer", "dumer-soft", "map", "fht-map"),
+    "polar": ("sc", "map"),
+    "ko": ("ko",),
+}
+
+
+class UnsupportedDecoder(ValueError):
+    """The requested decoder does not apply to the code."""
+
+
+def check_decoder(family: str, decoder: str | None) -> str:
+    """The decoder name to use for a code family (None picks its default)."""
+    names = DECODERS[family]
+    if decoder is None:
+        return names[0]
+    if decoder not in names:
+        raise UnsupportedDecoder(f"{family} codes take decoder {', '.join(names)}, "
+                                 f"not {decoder!r}")
+    return decoder
+
+
 @dataclass
 class CodeSystem:
     """Bundle of batch encode/decode callables plus identifying metadata.
@@ -135,7 +158,8 @@ class CodeSystem:
     encode maps (B, k) bits to (B, n) symbols of energy n; decode maps
     received (B, n) symbols and the noise sigma to (B, k) hard bits. When
     the decoder exposes per-leaf records, decode_full returns them for
-    error attribution.
+    error attribution. Classical codes also expose decode_llrs, which
+    decodes channel LLRs directly; KO decoders read raw symbols only.
     """
 
     name: str
@@ -146,64 +170,45 @@ class CodeSystem:
     decode: callable
     decode_full: callable | None = None
     tree: PlotkinTree | None = None
+    decode_llrs: callable | None = None
+
+
+def _llr_decoder(tree: PlotkinTree, decoder: str):
+    """A classical decoder, named as in DECODERS, as
+    (llrs, ops=None) -> DecodeResult."""
+    if decoder in ("dumer", "sc", "dumer-soft"):
+        rule = SOFT_MAP if decoder == "dumer-soft" else HARD_MAP
+        return lambda llrs, ops=None: dumer_decode(tree, llrs, rule, ops)
+    if decoder == "map":
+        codebook = enumerate_codebook(tree)
+        return lambda llrs, ops=None: _plain_result(map_decode(codebook, llrs)[0])
+    return lambda llrs, ops=None: _plain_result(fht_map_decode_rm1(llrs, tree.m)[1])
+
+
+def _classical_system(name: str, tree: PlotkinTree, decoder: str) -> CodeSystem:
+    decode_llrs = _llr_decoder(tree, decoder)
+
+    def encode(msgs):
+        return bpsk(tree_encode(tree, msgs))
+
+    def decode_full(y, sigma, ops=None):
+        return decode_llrs(channel_llr(y, sigma), ops)
+
+    return CodeSystem(name, decoder, tree.k, tree.n, encode,
+                      lambda y, sigma, ops=None: decode_full(y, sigma, ops).message,
+                      decode_full, tree, decode_llrs)
 
 
 def rm_system(m: int, r: int, decoder: str = "dumer") -> CodeSystem:
-    tree = build_rm_tree(m, r)
-
-    def encode(msgs):
-        return bpsk(tree_encode(tree, msgs))
-
-    if decoder in ("dumer", "dumer-soft"):
-        rule = HARD_MAP if decoder == "dumer" else SOFT_MAP
-
-        def decode_full(y, sigma, ops=None):
-            return dumer_decode(tree, channel_llr(y, sigma), rule, ops)
-
-    elif decoder == "map":
-        codebook = enumerate_codebook(tree)
-
-        def decode_full(y, sigma, ops=None):
-            msg, _ = map_decode(codebook, channel_llr(y, sigma))
-            return _plain_result(msg)
-
-    elif decoder == "fht-map":
-        if r != 1:
-            raise ValueError("fht-map decodes first-order codes only")
-
-        def decode_full(y, sigma, ops=None):
-            _, msg = fht_map_decode_rm1(channel_llr(y, sigma), m)
-            return _plain_result(msg)
-
-    else:
-        raise ValueError(f"unknown decoder {decoder!r}")
-
-    return CodeSystem(f"RM({m},{r})", decoder, tree.k, tree.n, encode,
-                      lambda y, sigma, ops=None: decode_full(y, sigma, ops).message,
-                      decode_full, tree)
+    decoder = check_decoder("rm", decoder)
+    if decoder == "fht-map" and r != 1:
+        raise UnsupportedDecoder("fht-map decodes first-order codes only")
+    return _classical_system(f"RM({m},{r})", build_rm_tree(m, r), decoder)
 
 
 def polar_system(spec: PolarSpec, decoder: str = "sc") -> CodeSystem:
-    tree = build_polar_tree(spec)
-
-    def encode(msgs):
-        return bpsk(tree_encode(tree, msgs))
-
-    if decoder == "sc":
-        def decode_full(y, sigma, ops=None):
-            return dumer_decode(tree, channel_llr(y, sigma), HARD_MAP, ops)
-    elif decoder == "map":
-        codebook = enumerate_codebook(tree)
-
-        def decode_full(y, sigma, ops=None):
-            msg, _ = map_decode(codebook, channel_llr(y, sigma))
-            return _plain_result(msg)
-    else:
-        raise ValueError(f"unknown decoder {decoder!r}")
-
-    return CodeSystem(f"Polar({spec.n},{spec.k})", decoder, tree.k, tree.n, encode,
-                      lambda y, sigma, ops=None: decode_full(y, sigma, ops).message,
-                      decode_full, tree)
+    return _classical_system(f"Polar({spec.n},{spec.k})", build_polar_tree(spec),
+                             check_decoder("polar", decoder))
 
 
 def ko_system(model, binarized: bool = False) -> CodeSystem:
@@ -223,8 +228,6 @@ def ko_system(model, binarized: bool = False) -> CodeSystem:
 
 
 def _plain_result(msg):
-    from .decoding import DecodeResult
-
     return DecodeResult(msg, None, [], [], [])
 
 
@@ -244,17 +247,6 @@ def random_guess_system(k: int, n: int, seed: int = 0) -> CodeSystem:
 # ---------------------------------------------------------------------------
 # Monte-Carlo simulation
 # ---------------------------------------------------------------------------
-
-def _make_channel(kind: str, sigma: float, burst_prob: float,
-                  burst_sigma_mult: float) -> Channel:
-    if kind == AWGN:
-        return awgn(sigma)
-    if kind == "rayleigh":
-        return rayleigh_fast(sigma)
-    if kind == "bursty":
-        return bursty(sigma, burst_prob, burst_sigma_mult)
-    raise ValueError(f"unknown channel {kind!r}")
-
 
 # After min_blocks, the early-stop condition is evaluated every
 # STOP_CHECK_CHUNKS chunks, a fixed cadence, so the simulated block count
@@ -285,7 +277,7 @@ def simulate_error_rates(system: CodeSystem, channel_kind: str, snr_grid,
     try:
         for snr_index, snr_db in enumerate(snr_grid):
             sigma = snr_to_sigma(snr_db)
-            ch = _make_channel(channel_kind, sigma, burst_prob, burst_sigma_mult)
+            ch = make_channel(channel_kind, sigma, burst_prob, burst_sigma_mult)
             blocks = bit_errors = block_errors = 0
             chunk_index = 0
 
@@ -327,12 +319,17 @@ def _run_chunk_star(args):
     return _run_chunk(*args)
 
 
-def _run_chunk(system: CodeSystem, ch: Channel, sigma: float, seed: int,
-               snr_index: int, chunk_index: int, blocks: int):
+def _chunk_blocks(system: CodeSystem, ch: Channel, seed: int, snr_index: int,
+                  chunk_index: int, blocks: int):
+    """The messages of one chunk and their received symbols."""
     rng = np.random.default_rng([seed, snr_index, chunk_index])
     msgs = rng.integers(0, 2, size=(blocks, system.k), dtype=np.uint8)
-    x = system.encode(msgs)
-    y = transmit(x, ch, rng)
+    return msgs, transmit(system.encode(msgs), ch, rng)
+
+
+def _run_chunk(system: CodeSystem, ch: Channel, sigma: float, seed: int,
+               snr_index: int, chunk_index: int, blocks: int):
+    msgs, y = _chunk_blocks(system, ch, seed, snr_index, chunk_index, blocks)
     decoded = system.decode(y, sigma)
     diffs = decoded != msgs
     return blocks, int(diffs.sum()), int(diffs.any(axis=1).sum())
@@ -350,7 +347,9 @@ class LeafContribution:
 
 
 def bler_decomposition(system: CodeSystem, channel_kind: str, snr_db: float,
-                       blocks: int, seed: int = 0) -> tuple[list[LeafContribution], float]:
+                       blocks: int, seed: int = 0, burst_prob: float = 0.1,
+                       burst_sigma_mult: float = float(np.sqrt(2.0))
+                       ) -> tuple[list[LeafContribution], float]:
     """Split BLER into per-leaf first-error contributions.
 
     A block counts toward leaf i when leaf i is the first (in decode order)
@@ -360,7 +359,7 @@ def bler_decomposition(system: CodeSystem, channel_kind: str, snr_db: float,
     if system.decode_full is None or system.tree is None:
         raise ValueError("decoder does not expose per-leaf records")
     sigma = snr_to_sigma(snr_db)
-    ch = _make_channel(channel_kind, sigma, 0.1, float(np.sqrt(2.0)))
+    ch = make_channel(channel_kind, sigma, burst_prob, burst_sigma_mult)
     labels = None
     counts = None
     done = 0
@@ -368,10 +367,7 @@ def bler_decomposition(system: CodeSystem, channel_kind: str, snr_db: float,
     total_block_errors = 0
     while done < blocks:
         b = min(CHUNK_BLOCKS, blocks - done)
-        rng = np.random.default_rng([seed, 0, chunk_index])
-        msgs = rng.integers(0, 2, size=(b, system.k), dtype=np.uint8)
-        x = system.encode(msgs)
-        y = transmit(x, ch, rng)
+        msgs, y = _chunk_blocks(system, ch, seed, 0, chunk_index, b)
         result = system.decode_full(y, sigma)
         if labels is None:
             labels = result.leaf_labels

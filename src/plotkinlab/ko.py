@@ -50,6 +50,7 @@ ALL_INTERNAL = "all_internal"
 ALL_BUT_ROOT = "all_but_root"
 
 CHECKPOINT_VERSION = 1
+CHECKPOINT_KEYS = ("code", "profile", "neuralize", "seed", "tree_hash", "blocks")
 
 
 class CheckpointError(ValueError):
@@ -444,8 +445,13 @@ def load_checkpoint(path) -> KoModel:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"checkpoint {path} is not a JSON object")
     if doc.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {doc.get('format_version')}")
+    missing = [key for key in CHECKPOINT_KEYS if key not in doc]
+    if missing:
+        raise CheckpointError(f"checkpoint {path} lacks {', '.join(missing)}")
     tree = tree_for_code(doc["code"])
     if tree.structure_hash() != doc["tree_hash"]:
         raise CheckpointError("tree hash mismatch: checkpoint belongs to a different code")

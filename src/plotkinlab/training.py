@@ -20,8 +20,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamState, adam_step, backward, grad_or_zero
-from .channel import snr_to_sigma
+from .channel import Channel, awgn, draw_noise, make_channel, snr_to_sigma
 from .codes import all_messages
+from .decoding import max_log_llrs
 from .ko import Binding, KoModel, bind, ko_decode_graph, ko_encode_graph
 
 ALTERNATING = "alternating"
@@ -104,27 +105,17 @@ def _step_rng(seed: int, epoch: int, phase: int, step: int) -> np.random.Generat
     return np.random.default_rng([seed, epoch, phase, step])
 
 
-def _noisy_output(x: ad.Node, sigma: float, channel_kind: str,
-                  rng: np.random.Generator) -> ad.Node:
-    """Channel pass as a tape op; fading gains and noise are constants, so
-    gradients flow through the transmitted symbols only."""
-    noise = sigma * rng.standard_normal(x.shape)
-    if channel_kind == "awgn":
-        return ad.add(x, ad.const(noise))
-    if channel_kind == "rayleigh":
-        gains = rng.rayleigh(scale=1.0 / np.sqrt(2.0), size=x.shape)
-        return ad.add(ad.mul(ad.const(gains), x), ad.const(noise))
-    if channel_kind == "bursty":
-        hits = rng.random(x.shape) < 0.1
-        w = np.where(hits, np.sqrt(2.0) * sigma * rng.standard_normal(x.shape), 0.0)
-        return ad.add(x, ad.const(noise + w))
-    raise ValueError(f"unknown channel {channel_kind!r}")
+def _transmit_node(x: ad.Node, ch: Channel, rng: np.random.Generator) -> ad.Node:
+    """channel.transmit as a tape op; fading gains and noise are constants,
+    so gradients flow through the transmitted symbols only."""
+    gain, offset = draw_noise(ch, x.shape, rng)
+    return ad.add(x if gain is None else ad.mul(ad.const(gain), x), ad.const(offset))
 
 
-def _run_step(model: KoModel, msgs: np.ndarray, sigma: float, channel_kind: str,
+def _run_step(model: KoModel, msgs: np.ndarray, ch: Channel,
               rng: np.random.Generator, binding: Binding) -> ad.Node:
     x = ko_encode_graph(model, msgs, binding)
-    y = _noisy_output(x, sigma, channel_kind, rng)
+    y = _transmit_node(x, ch, rng)
     llrs, _ = ko_decode_graph(model, y, binding)
     return ad.bce_with_logits(llrs, msgs)
 
@@ -169,13 +160,13 @@ def train(model: KoModel, cfg: TrainConfig,
             ("dec", cfg.dec_steps, cfg.snr_dec, adam_dec, False),
             ("enc", cfg.enc_steps, cfg.snr_enc, adam_enc, True),
         ):
-            sigma = snr_to_sigma(snr)
+            ch = make_channel(channel_kind, snr_to_sigma(snr))
             for step in range(steps):
                 rng = _step_rng(cfg.seed, epoch, 0 if phase == "dec" else 1, step)
                 msgs = sample_messages(cfg.batch_size, model.k, rng)
                 binding = bind(model, train_encoder=train_enc,
                                train_decoder=not train_enc)
-                loss = _run_step(model, msgs, sigma, channel_kind, rng, binding)
+                loss = _run_step(model, msgs, ch, rng, binding)
                 if not np.isfinite(loss.value):
                     log.add(phase, epoch, step, float(loss.value), float("nan"))
                     raise TrainingDiverged(
@@ -200,20 +191,9 @@ def softmap_codebook_llrs(scores: ad.Node, k: int) -> ad.Node:
     equal to 0 and 1, with gradients routed through the selected scores.
     Valid when the codebook rows share the same energy.
     """
-    msgs = all_messages(k)
     s = scores.value
     batch = s.shape[0]
-    llr_vals = np.empty((batch, k))
-    arg0 = np.empty((batch, k), dtype=np.int64)
-    arg1 = np.empty((batch, k), dtype=np.int64)
-    for i in range(k):
-        idx0 = np.flatnonzero(msgs[:, i] == 0)
-        idx1 = np.flatnonzero(msgs[:, i] == 1)
-        a0 = np.argmax(s[:, idx0], axis=1)
-        a1 = np.argmax(s[:, idx1], axis=1)
-        arg0[:, i] = idx0[a0]
-        arg1[:, i] = idx1[a1]
-        llr_vals[:, i] = s[np.arange(batch), arg0[:, i]] - s[np.arange(batch), arg1[:, i]]
+    llr_vals, arg0, arg1 = max_log_llrs(s, (all_messages(k) == 0).T)
 
     def vjp(g):
         ds = np.zeros_like(s)
@@ -249,17 +229,16 @@ def train_encoder_only_softmap(model: KoModel, cfg: TrainConfig) -> tuple[KoMode
     start = time.monotonic()
     adam_enc = AdamState.for_params(model.encoder_params(), cfg.lr_enc)
     msgs_all = all_messages(model.k)
-    sigma = snr_to_sigma(cfg.snr_enc)
+    ch = awgn(snr_to_sigma(cfg.snr_enc))
 
     for epoch in range(cfg.epochs):
         for step in range(cfg.enc_steps):
             rng = _step_rng(cfg.seed, epoch, 2, step)
             msgs = sample_messages(cfg.batch_size, model.k, rng)
-            noise = sigma * rng.standard_normal((cfg.batch_size, model.n))
             binding = bind(model, train_encoder=True)
             codebook = ko_encode_graph(model, msgs_all, binding)
             x = _gather_rows(codebook, _message_indices(msgs))
-            y = ad.add(x, ad.const(noise))
+            y = _transmit_node(x, ch, rng)
             scores = ad.matmul(y, _transpose(codebook))
             llrs = softmap_codebook_llrs(scores, model.k)
             loss = ad.bce_with_logits(llrs, msgs)
@@ -280,25 +259,3 @@ def _message_indices(msgs: np.ndarray) -> np.ndarray:
     k = msgs.shape[1]
     weights = (1 << np.arange(k - 1, -1, -1)).astype(np.int64)
     return msgs.astype(np.int64) @ weights
-
-
-def ber_estimate(model: KoModel, snr_db: float, blocks: int, seed: int,
-                 chunk: int = 10000) -> float:
-    """Monte-Carlo bit error rate of a KO model on AWGN at one SNR point."""
-    sigma = snr_to_sigma(snr_db)
-    errors = 0
-    done = 0
-    idx = 0
-    from .ko import ko_decode, ko_encode
-
-    while done < blocks:
-        b = min(chunk, blocks - done)
-        rng = np.random.default_rng([seed, idx])
-        msgs = sample_messages(b, model.k, rng)
-        x = ko_encode(model, msgs)
-        y = x + sigma * rng.standard_normal(x.shape)
-        _, result = ko_decode(model, y)
-        errors += int(np.sum(result.message != msgs))
-        done += b
-        idx += 1
-    return errors / (blocks * model.k)

@@ -21,7 +21,7 @@ from plotkinlab.codes import (
     rm_generator_rows,
     tree_encode,
 )
-from plotkinlab.decoding import dumer_decode, fht_map_decode_rm1, map_decode, sc_decode_polar
+from plotkinlab.decoding import dumer_decode, fht_map_decode_rm1, map_decode
 from plotkinlab.evaluation import (
     bler_decomposition,
     count_decode_ops,
@@ -42,7 +42,15 @@ from plotkinlab.ko import (
     save_checkpoint,
 )
 from plotkinlab.evaluation import REFERENCE_BER_KO82
-from plotkinlab.training import TrainConfig, ber_estimate, train
+from plotkinlab.training import TrainConfig, train
+
+
+def ko_ber(model, snr_db: float, blocks: int, seed: int) -> float:
+    """Monte-Carlo BER of a KO model on AWGN at one SNR, over exactly
+    `blocks` blocks."""
+    return simulate_error_rates(ko_system(model), "awgn", [snr_db], blocks,
+                                min_block_errors=0, max_blocks=blocks,
+                                seed=seed)[0].ber
 
 
 def check(num: int, name: str, condition: bool, detail: str = ""):
@@ -121,7 +129,7 @@ def test_criterion_05_noiseless_round_trips():
     ptree = build_polar_tree(polar_spec(64, 7))
     msgs = all_messages(7)
     y = bpsk(tree_encode(ptree, msgs)) + 0.01 * rng.standard_normal((128, 64))
-    res = sc_decode_polar(ptree, channel_llr(y, 0.01))
+    res = dumer_decode(ptree, channel_llr(y, 0.01))
     assert np.array_equal(res.message, msgs)
     check(5, "noiseless round trips", True)
 
@@ -206,11 +214,11 @@ def training_smoke():
                               seed=7)
 
     model = fresh_model()
-    ber_init = ber_estimate(model, 0.0, 100000, seed=4242)
+    ber_init = ko_ber(model, 0.0, 100000, seed=4242)
     start = time.monotonic()
     model, _ = train(model, cfg)
     wall = time.monotonic() - start
-    ber_trained = ber_estimate(model, 0.0, 100000, seed=4242)
+    ber_trained = ko_ber(model, 0.0, 100000, seed=4242)
     rerun, _ = train(fresh_model(), cfg)
     return model, rerun, wall, ber_init, ber_trained
 
@@ -348,5 +356,5 @@ def test_reference_full_scale_ko82_ber():
     model = load_checkpoint(os.environ["PLOTKINLAB_KO82_CHECKPOINT"])
     for snr_db in (-5, -3):
         want, _ = REFERENCE_BER_KO82[snr_db]
-        got = ber_estimate(model, float(snr_db), blocks=2 * 10**6, seed=4321)
+        got = ko_ber(model, float(snr_db), blocks=2 * 10**6, seed=4321)
         assert abs(got - want) <= 0.25 * want, (snr_db, got, want)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from plotkinlab.cli import main, parse_snr_grid
+from plotkinlab.codes import polar_spec
 
 
 def run(args):
@@ -220,3 +221,165 @@ class TestAnalyzeCommands:
                     "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["total"] == doc["adds"] + doc["muls"] + doc["comparisons"] + doc["exp_logs"]
+
+
+def data_rows(path):
+    return [line for line in path.read_text().splitlines()
+            if not line.startswith("#")]
+
+
+class TestDecoderDispatch:
+    def test_ko_binarized_encode_writes_kob_rows(self, tmp_path):
+        from plotkinlab.codes import build_rm_tree
+        from plotkinlab.ko import binarize_kob, build_ko_model, ko_encode, save_checkpoint
+
+        model = build_ko_model(build_rm_tree(3, 1), {"family": "rm", "m": 3, "r": 1},
+                               "tiny", seed=4)
+        ckpt = tmp_path / "model.json"
+        save_checkpoint(model, ckpt)
+        bits = tmp_path / "bits.txt"
+        bits.write_text("1010\n0111\n")
+        out = tmp_path / "sym.csv"
+        assert run(["encode", "--code", "ko", "--checkpoint", str(ckpt),
+                    "--binarized", "--in", str(bits), "--out", str(out)]) == 0
+        got = np.array([[float(v) for v in row.split(",")] for row in data_rows(out)])
+        msgs = np.array([[1, 0, 1, 0], [0, 1, 1, 1]], dtype=np.uint8)
+        assert np.array_equal(got, binarize_kob(model, msgs))
+        assert not np.array_equal(got, ko_encode(model, msgs))
+
+    def test_polar_map_decode_is_exhaustive_map(self, tmp_path):
+        from plotkinlab.bits import bpsk
+        from plotkinlab.channel import channel_llr
+        from plotkinlab.codes import build_polar_tree, enumerate_codebook, tree_encode
+        from plotkinlab.decoding import dumer_decode, map_decode
+
+        tree = build_polar_tree(polar_spec(64, 7))
+        rng = np.random.default_rng(11)
+        msgs = rng.integers(0, 2, size=(300, 7), dtype=np.uint8)
+        y = bpsk(tree_encode(tree, msgs)) + 2.0 * rng.standard_normal((300, 64))
+        llrs = channel_llr(y, 2.0)
+        src = tmp_path / "llrs.f64"
+        llrs.astype("<f8").tofile(src)
+        out = tmp_path / "dec.txt"
+        assert run(["decode", "--code", "polar", "--n", "64", "--k", "7",
+                    "--decoder", "map", "--format", "f64", "--in", str(src),
+                    "--out", str(out)]) == 0
+        got = np.array([[int(c) for c in row] for row in data_rows(out)])
+        want, _ = map_decode(enumerate_codebook(tree), llrs)
+        assert np.array_equal(got, want)
+        assert not np.array_equal(got, dumer_decode(tree, llrs).message)
+
+    def test_rm_dumer_soft_decode(self, tmp_path):
+        from plotkinlab.codes import build_rm_tree
+        from plotkinlab.decoding import dumer_decode
+
+        llrs = np.random.default_rng(2).standard_normal((40, 16)) * 2.0
+        src = tmp_path / "llrs.f64"
+        llrs.astype("<f8").tofile(src)
+        out = tmp_path / "dec.txt"
+        assert run(["decode", "--code", "rm", "--m", "4", "--r", "2",
+                    "--decoder", "dumer-soft", "--format", "f64",
+                    "--in", str(src), "--out", str(out)]) == 0
+        got = np.array([[int(c) for c in row] for row in data_rows(out)])
+        want = dumer_decode(build_rm_tree(4, 2), llrs, "soft").message
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("code, decoder", [
+        (["--code", "rm", "--m", "3", "--r", "1"], "sc"),
+        (["--code", "rm", "--m", "3", "--r", "2"], "fht-map"),
+        (["--code", "polar", "--n", "8", "--k", "4"], "dumer"),
+        (["--code", "polar", "--n", "8", "--k", "4"], "dumer-soft"),
+    ])
+    def test_unsupported_decoder_is_usage_error(self, tmp_path, capsys, code, decoder):
+        src = tmp_path / "llrs.csv"
+        src.write_text(",".join(["1.0"] * 8) + "\n")
+        for argv, out in (
+            (["decode", *code, "--decoder", decoder, "--in", str(src)], "dec.txt"),
+            (["simulate", *code, "--decoder", decoder, "--snr", "0",
+              "--blocks", "10"], "sim.csv"),
+        ):
+            capsys.readouterr()
+            assert run(argv + ["--out", str(tmp_path / out)]) == 2
+            err = capsys.readouterr().err
+            assert len(err.strip().splitlines()) == 1 and decoder in err
+            assert not (tmp_path / out).exists()
+
+    def test_ko_rejects_classical_decoder(self, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        assert run(["simulate", "--code", "ko", "--checkpoint", "unused.json",
+                    "--decoder", "dumer", "--snr", "0", "--out", str(out)]) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not out.exists()
+
+
+class TestNumericBoundaries:
+    @pytest.mark.parametrize("flag, value", [
+        ("--blocks", "0"), ("--threads", "0"), ("--threads", "-3"),
+        ("--max-blocks", "0"), ("--min-block-errors", "-1"), ("--blocks", "x"),
+    ])
+    def test_simulate_rejects(self, tmp_path, flag, value):
+        out = tmp_path / "sim.csv"
+        with pytest.raises(SystemExit) as err:
+            run(["simulate", "--code", "rm", "--m", "3", "--r", "1", "--snr", "0",
+                 f"{flag}={value}", "--out", str(out)])
+        assert err.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["pairwise-distances", "--bins", "0"],
+        ["pairwise-distances", "--mode", "random", "--pairs", "0"],
+        ["bler-decomposition", "--snr", "0", "--blocks", "0"],
+    ])
+    def test_analyze_rejects(self, tmp_path, argv):
+        out = tmp_path / "a.csv"
+        with pytest.raises(SystemExit) as err:
+            run(["analyze", argv[0], "--code", "rm", "--m", "3", "--r", "1",
+                 *argv[1:], "--out", str(out)])
+        assert err.value.code == 2
+        assert not out.exists()
+
+    def test_zero_min_block_errors_accepted(self, tmp_path):
+        out = tmp_path / "sim.csv"
+        assert run(["simulate", "--code", "rm", "--m", "3", "--r", "1",
+                    "--snr", "0", "--blocks", "10", "--min-block-errors", "0",
+                    "--threads", "1", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[2].split(",")[1] == "10"
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_csv_input(self, tmp_path, capsys, bad):
+        src = tmp_path / "llrs.csv"
+        src.write_text(f"1.0,-2.0,0.5,{bad},1.0,1.0,1.0,1.0\n")
+        out = tmp_path / "dec.txt"
+        assert run(["decode", "--code", "rm", "--m", "3", "--r", "1",
+                    "--in", str(src), "--out", str(out)]) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_non_finite_f64_input(self, tmp_path):
+        src = tmp_path / "llrs.f64"
+        np.array([1.0, np.nan, 1.0, 1.0], dtype="<f8").tofile(src)
+        out = tmp_path / "dec.txt"
+        assert run(["decode", "--code", "rm", "--m", "2", "--r", "1",
+                    "--format", "f64", "--in", str(src), "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+class TestBadCheckpoints:
+    @pytest.mark.parametrize("doc", ["[1, 2]", '{"format_version": 1}'])
+    def test_malformed_checkpoint_exits_1(self, tmp_path, capsys, doc):
+        ckpt = tmp_path / "bad.json"
+        ckpt.write_text(doc)
+        assert run(["codes", "info", "--code", "ko", "--checkpoint", str(ckpt)]) == 1
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+class TestBurstFlagsInBlerDecomposition:
+    def test_burst_flags_change_the_result(self, capsys):
+        outs = []
+        for prob in ("0.01", "0.9"):
+            assert run(["analyze", "bler-decomposition", "--code", "rm", "--m", "4",
+                        "--r", "2", "--channel", "bursty", "--snr", "4",
+                        "--blocks", "2000", "--burst-prob", prob,
+                        "--burst-sigma-mult", "20", "--json"]) == 0
+            outs.append(json.loads(capsys.readouterr().out)["bler"])
+        assert outs[1] > outs[0] + 0.5

@@ -16,7 +16,6 @@ from plotkinlab.codes import (
     polar_encode,
     polar_reliabilities,
     polar_spec,
-    rm_encode,
     rm_generator_rows,
     rm_spec,
     tree_encode,
@@ -95,13 +94,13 @@ class TestRmTree:
 class TestRmEncode:
     def test_all_zero(self):
         tree = build_rm_tree(3, 1)
-        assert not rm_encode(tree, [0, 0, 0, 0]).any()
+        assert not tree_encode(tree, [0, 0, 0, 0]).any()
 
     def test_closed_form_vector(self):
         # (m1, m1^m2, m1^m3, m1^m2^m3, m1^m4, ..., m1^m2^m3^m4)
         tree = build_rm_tree(3, 1)
-        assert rm_encode(tree, [1, 0, 0, 0]).tolist() == [1] * 8
-        assert rm_encode(tree, [0, 0, 0, 1]).tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
+        assert tree_encode(tree, [1, 0, 0, 0]).tolist() == [1] * 8
+        assert tree_encode(tree, [0, 0, 0, 1]).tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
 
     def test_closed_form_all_messages(self):
         tree = build_rm_tree(3, 1)
@@ -109,18 +108,18 @@ class TestRmEncode:
             m1, m2, m3, m4 = (int(b) for b in msg)
             want = [m1, m1 ^ m2, m1 ^ m3, m1 ^ m2 ^ m3,
                     m1 ^ m4, m1 ^ m2 ^ m4, m1 ^ m3 ^ m4, m1 ^ m2 ^ m3 ^ m4]
-            assert rm_encode(tree, msg).tolist() == want
+            assert tree_encode(tree, msg).tolist() == want
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            rm_encode(build_rm_tree(3, 1), [0, 1])
+            tree_encode(build_rm_tree(3, 1), [0, 1])
 
     def test_batched_matches_single(self):
         tree = build_rm_tree(4, 2)
         msgs = all_messages(tree.k)[:17]
-        batch = rm_encode(tree, msgs)
+        batch = tree_encode(tree, msgs)
         for i, msg in enumerate(msgs):
-            assert np.array_equal(batch[i], rm_encode(tree, msg))
+            assert np.array_equal(batch[i], tree_encode(tree, msg))
 
 
 class TestGeneratorRows:

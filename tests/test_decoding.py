@@ -27,7 +27,6 @@ from plotkinlab.decoding import (
     majority_decode_repetition,
     map_decode,
     parity_adjusted_add,
-    sc_decode_polar,
     soft_map_llrs,
     soft_reencode,
 )
@@ -324,12 +323,12 @@ class TestScPolar:
         msgs = all_messages(7)
         y = bpsk(tree_encode(tree, msgs))
         y = y + 0.01 * np.random.default_rng(4).standard_normal(y.shape)
-        res = sc_decode_polar(tree, channel_llr(y, 0.01))
+        res = dumer_decode(tree, channel_llr(y, 0.01))
         assert np.array_equal(res.message, msgs)
 
     def test_polar_2_1_hand_run(self):
         tree = build_polar_tree(polar_spec(2, 1))
-        res = sc_decode_polar(tree, np.array([-4.0, -5.0]))
+        res = dumer_decode(tree, np.array([-4.0, -5.0]))
         assert res.message.tolist() == [1]
 
     def test_frozen_subtree_is_plain_llr_addition(self):
@@ -340,5 +339,5 @@ class TestScPolar:
         rng = np.random.default_rng(17)
         for _ in range(50):
             llr = rng.standard_normal(4) * 3
-            res = sc_decode_polar(tree, llr)
+            res = dumer_decode(tree, llr)
             assert res.message.tolist() == [int(llr.sum() < 0)]

@@ -115,6 +115,14 @@ class TestBlerDecomposition:
         assert contribs[0].first_error_blocks == max(c.first_error_blocks
                                                      for c in contribs)
 
+    def test_burst_parameters_reach_the_channel(self):
+        system = rm_system(4, 2)
+        _, mild = bler_decomposition(system, "bursty", 4.0, 2000, seed=3,
+                                     burst_prob=0.01, burst_sigma_mult=20.0)
+        _, harsh = bler_decomposition(system, "bursty", 4.0, 2000, seed=3,
+                                      burst_prob=0.9, burst_sigma_mult=20.0)
+        assert harsh > mild + 0.5
+
     def test_requires_leaf_records(self):
         with pytest.raises(ValueError):
             bler_decomposition(rm_system(3, 1, "map"), "awgn", 0.0, 100)

@@ -213,6 +213,22 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    def test_rejects_json_list(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2, 3]\n")
+        with pytest.raises(CheckpointError, match="not a JSON object"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["code", "tree_hash", "blocks", "seed"])
+    def test_rejects_missing_key(self, tmp_path, key):
+        path = tmp_path / "m.json"
+        save_checkpoint(make_model(3, 1), path)
+        doc = json.loads(path.read_text())
+        del doc[key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match=key):
+            load_checkpoint(path)
+
     def test_records_block_inventory(self, tmp_path):
         model = make_model(8, 2, "standard")
         path = tmp_path / "m.json"

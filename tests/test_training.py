@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from plotkinlab import autodiff as ad
 from plotkinlab.bits import bpsk
+from plotkinlab.channel import awgn, bursty, rayleigh_fast, transmit
 from plotkinlab.codes import build_rm_tree, tree_encode
 from plotkinlab.decoding import dumer_decode
 from plotkinlab.ko import build_ko_model, save_checkpoint
 from plotkinlab.training import (
     TrainConfig,
     TrainingDiverged,
+    _transmit_node,
     bce_loss,
     sample_messages,
     train,
@@ -250,3 +253,22 @@ class TestGradientClipping:
         m2 = make_model(3, 1, seed=23)
         train(m2, TrainConfig(**kw))
         assert not params_equal(snapshot(m1), snapshot(m2))
+
+
+class TestChannelPass:
+    @pytest.mark.parametrize("ch", [awgn(0.7), rayleigh_fast(0.7), bursty(0.7)],
+                             ids=["awgn", "rayleigh", "bursty"])
+    def test_equals_transmit_bit_for_bit(self, ch):
+        x = np.random.default_rng(1).standard_normal((64, 16))
+        taped = _transmit_node(ad.const(x), ch, np.random.default_rng([5, 0, 1, 2]))
+        plain = transmit(x, ch, np.random.default_rng([5, 0, 1, 2]))
+        assert np.array_equal(taped.value, plain)
+
+    def test_gradient_is_the_fading_gain(self):
+        x = ad.var(np.ones((8, 4)))
+        y = _transmit_node(x, rayleigh_fast(0.5), np.random.default_rng(3))
+        ad.backward(ad.sum_all(y))
+        rng = np.random.default_rng(3)
+        rng.standard_normal((8, 4))
+        gain = rng.rayleigh(scale=1.0 / np.sqrt(2.0), size=(8, 4))
+        assert np.array_equal(x.grad, gain)
