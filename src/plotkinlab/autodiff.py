@@ -7,10 +7,13 @@ Forward values are computed by the same numpy expressions as the plain
 implementations, so taped and untaped results agree bit for bit.
 
 Gradients flow only through nodes reachable from a ``var``; subgraphs built
-purely from ``const`` inputs are skipped during the backward pass.
+purely from ``const`` inputs are skipped during the backward pass, and
+nothing at all is recorded inside ``no_tape()``.
 """
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,7 +52,29 @@ def const(value) -> Node:
     return Node(value)
 
 
+class _TapeState(threading.local):
+    recording = True
+
+
+_tape = _TapeState()
+
+
+@contextmanager
+def no_tape():
+    """Record no tape on this thread inside the block: ops return parentless
+    nodes without a pullback, with values from the same expressions, so each
+    intermediate is freed as soon as the forward pass drops it."""
+    previous = _tape.recording
+    _tape.recording = False
+    try:
+        yield
+    finally:
+        _tape.recording = previous
+
+
 def _op(value, parents, vjp) -> Node:
+    if not _tape.recording:
+        return Node(value)
     requires = any(p.requires for p in parents)
     return Node(value, parents, vjp if requires else None, requires)
 
@@ -106,11 +131,18 @@ def dense_affine(x: Node, w: Node, b: Node) -> Node:
 
 
 def selu(a: Node) -> Node:
+    """L*max(x, 0) + L*A*(exp(min(x, 0)) - 1) in place: bit-identical to
+    selecting either term by the sign of x, as the other one is exactly 0.
+    The derivative is formed only if a gradient is needed."""
     x = a.value
-    pos = x > 0
-    ex = np.exp(np.minimum(x, 0.0))
-    val = np.where(pos, SELU_LAMBDA * x, SELU_LAMBDA * SELU_ALPHA * (ex - 1.0))
-    dx = np.where(pos, SELU_LAMBDA, SELU_LAMBDA * SELU_ALPHA * ex)
+    ex = np.minimum(x, 0.0)
+    np.exp(ex, out=ex)
+    dx = np.where(x > 0, SELU_LAMBDA, SELU_LAMBDA * SELU_ALPHA * ex) if a.requires else None
+    ex -= 1.0
+    ex *= SELU_LAMBDA * SELU_ALPHA
+    val = np.maximum(x, 0.0)
+    val *= SELU_LAMBDA
+    val += ex
     return _op(val, (a,), lambda g: (g * dx,))
 
 

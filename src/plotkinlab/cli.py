@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -119,11 +120,14 @@ def read_real_file(path: str, fmt: str, width: int) -> np.ndarray:
         return _finite(path, flat.reshape(-1, width))
     rows = []
     with open(path) as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            vals = [float(v) for v in line.split(",")]
+            try:
+                vals = [float(v) for v in line.split(",")]
+            except ValueError as exc:
+                raise UsageError(f"{path}:{line_no}: {exc}") from None
             if len(vals) != width:
                 raise UsageError(f"{path}: expected {width} values per row")
             rows.append(vals)
@@ -515,11 +519,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_snr_values(argv: list[str]) -> list[str]:
+    """Rewrite `--snr -5:1:-3` as `--snr=-5:1:-3`: argparse takes a value
+    that starts with a minus sign, and is not a plain number, for an option."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] == "--snr" and re.match(r"-[\d.]", tok):
+            out[-1] = f"--snr={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_snr_values(argv))
         return args.func(args, argv)
     except (UsageError, UnsupportedDecoder) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -97,14 +97,21 @@ class KoModel:
 
 
 def tree_for_code(code: dict) -> PlotkinTree:
-    if code["family"] == "rm":
-        return build_rm_tree(code["m"], code["r"])
-    if code["family"] == "polar":
-        spec = polar_spec(code["n"], code["k"], code.get("design_z0", 0.5))
-        if tuple(code.get("active_set", spec.active_set)) != spec.active_set:
-            raise ValueError("stored active set disagrees with construction")
-        return build_polar_tree(spec)
-    raise ValueError(f"unknown code family {code['family']!r}")
+    """The tree a checkpoint's code description names; CheckpointError if
+    the description is malformed."""
+    try:
+        if code["family"] == "rm":
+            return build_rm_tree(code["m"], code["r"])
+        if code["family"] == "polar":
+            spec = polar_spec(code["n"], code["k"], code.get("design_z0", 0.5))
+            if tuple(code.get("active_set", spec.active_set)) != spec.active_set:
+                raise ValueError("stored active set disagrees with construction")
+            return build_polar_tree(spec)
+        raise ValueError(f"unknown code family {code['family']!r}")
+    except KeyError as exc:
+        raise CheckpointError(f"checkpoint code description lacks {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"bad checkpoint code description: {exc}") from None
 
 
 def build_ko_model(tree: PlotkinTree, code: dict, profile: str = "standard",
@@ -276,7 +283,10 @@ def ko_encode_graph(model: KoModel, msg: np.ndarray, binding: Binding) -> Node:
             second = skip
         return ad.concat_cols([u, second])
 
-    return ad.row_normalize(enc(model.tree.root), float(model.n))
+    try:
+        return ad.row_normalize(enc(model.tree.root), float(model.n))
+    finally:
+        del enc  # break the closure's self-reference so refcounting frees the tape
 
 
 def ko_decode_graph(model: KoModel, y: Node, binding: Binding, ops=None):
@@ -332,7 +342,10 @@ def ko_decode_graph(model: KoModel, y: Node, binding: Binding, ops=None):
             ops.count(muls=batch * half)
         return ad.concat_cols([u_soft, ad.mul(u_soft, v_soft)])
 
-    dec(model.tree.root, y)
+    try:
+        dec(model.tree.root, y)
+    finally:
+        del dec  # break the closure's self-reference so refcounting frees the tape
     ordered = sorted(leaf_llrs.items())
     llrs = ad.concat_cols([nd for _, nd in ordered])
     return llrs, leaf_order
@@ -343,10 +356,12 @@ def ko_decode_graph(model: KoModel, y: Node, binding: Binding, ops=None):
 # ---------------------------------------------------------------------------
 
 def ko_encode(model: KoModel, msg) -> np.ndarray:
-    """Encode messages to real codewords with per-codeword energy n."""
+    """Encode messages to real codewords with per-codeword energy n
+    (ko_encode_graph, recording no tape)."""
     arr = as_bits(msg, "message")
     single = arr.ndim == 1
-    out = ko_encode_graph(model, np.atleast_2d(arr), bind(model)).value
+    with ad.no_tape():
+        out = ko_encode_graph(model, np.atleast_2d(arr), bind(model)).value
     return out[0] if single else out
 
 
@@ -361,14 +376,16 @@ def ko_decode(model: KoModel, y, ops=None) -> tuple[np.ndarray, DecodeResult]:
     """Decode raw received symbols; returns (bit LLRs, DecodeResult).
 
     Hard decisions set bit j to 1 iff its LLR is negative. Leaf records are
-    listed in decode order for block-error attribution.
+    listed in decode order for block-error attribution. Runs ko_decode_graph
+    without recording a tape.
     """
     y = np.asarray(y, dtype=np.float64)
     single = y.ndim == 1
     y2 = np.atleast_2d(y)
     if y2.shape[1] != model.n:
         raise ValueError(f"received length {y2.shape[1]} != n={model.n}")
-    llr_node, leaf_order = ko_decode_graph(model, ad.const(y2), bind(model), ops)
+    with ad.no_tape():
+        llr_node, leaf_order = ko_decode_graph(model, ad.const(y2), bind(model), ops)
     llrs = llr_node.value
     message = (llrs < 0).astype(np.uint8)
     result = DecodeResult(
@@ -407,9 +424,20 @@ def _block_dict(block: DenseBlock) -> dict:
 
 
 def _block_from_dict(d: dict) -> DenseBlock:
-    widths = d["widths"]
-    ws = [_decode_array(s, (widths[i], widths[i + 1])) for i, s in enumerate(d["weights"])]
-    bs = [_decode_array(s, (widths[i + 1],)) for i, s in enumerate(d["biases"])]
+    """A block from its checkpoint entry; CheckpointError if the entry is
+    malformed or holds a non-finite weight."""
+    try:
+        widths = d["widths"]
+        ws = [_decode_array(s, (widths[i], widths[i + 1])) for i, s in enumerate(d["weights"])]
+        bs = [_decode_array(s, (widths[i + 1],)) for i, s in enumerate(d["biases"])]
+    except KeyError as exc:
+        raise CheckpointError(f"checkpoint block lacks {exc}") from None
+    except (TypeError, ValueError, IndexError) as exc:
+        raise CheckpointError(f"bad checkpoint block: {exc}") from None
+    if not 0 < len(ws) == len(bs) == len(widths) - 1:
+        raise CheckpointError("checkpoint block layer count disagrees with its widths")
+    if not all(np.isfinite(p).all() for p in ws + bs):
+        raise CheckpointError("checkpoint block holds a non-finite weight")
     return DenseBlock(ws, bs)
 
 
@@ -455,17 +483,21 @@ def load_checkpoint(path) -> KoModel:
     tree = tree_for_code(doc["code"])
     if tree.structure_hash() != doc["tree_hash"]:
         raise CheckpointError("tree hash mismatch: checkpoint belongs to a different code")
-    model = build_ko_model(tree, doc["code"], doc["profile"], doc["neuralize"],
-                           seed=doc["seed"], init="zeros")
-    if set(doc["blocks"]) != {str(nid) for nid in model.neural_ids()}:
+    try:
+        model = build_ko_model(tree, doc["code"], doc["profile"], doc["neuralize"],
+                               seed=doc["seed"], init="zeros")
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"bad checkpoint: {exc}") from None
+    blocks = doc["blocks"]
+    if not isinstance(blocks, dict) or set(blocks) != {str(nid) for nid in model.neural_ids()}:
         raise CheckpointError("checkpoint blocks do not match the tree's neural nodes")
     for nid in model.neural_ids():
-        entry = doc["blocks"][str(nid)]
-        model.enc[nid] = _block_from_dict(entry["enc"])
-        model.dec_left[nid] = _block_from_dict(entry["dec_left"])
-        model.dec_right[nid] = _block_from_dict(entry["dec_right"])
-        for blk, want_in in ((model.enc[nid], 2), (model.dec_left[nid], 2),
-                             (model.dec_right[nid], 4)):
+        entry = blocks[str(nid)]
+        for name, want_in in (("enc", 2), ("dec_left", 2), ("dec_right", 4)):
+            if not isinstance(entry, dict) or name not in entry:
+                raise CheckpointError(f"checkpoint lacks the {name} block of node {nid}")
+            blk = _block_from_dict(entry[name])
             if blk.widths[0] != want_in or blk.widths[-1] != 1:
                 raise CheckpointError(f"block shape mismatch at node {nid}")
+            getattr(model, name)[nid] = blk
     return model

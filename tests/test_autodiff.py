@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,92 @@ class TestForwardValues:
     def test_backward_requires_scalar(self):
         with pytest.raises(ValueError):
             backward(var(np.zeros(3)))
+
+
+def selu_where_form(x):
+    """The np.where SELU that the in-place kernel replaced: (value, derivative)."""
+    pos = x > 0
+    ex = np.exp(np.minimum(x, 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = np.where(pos, ad.SELU_LAMBDA * x, ad.SELU_LAMBDA * ad.SELU_ALPHA * (ex - 1.0))
+    dx = np.where(pos, ad.SELU_LAMBDA, ad.SELU_LAMBDA * ad.SELU_ALPHA * ex)
+    return val, dx
+
+
+def selu_inputs():
+    rng = np.random.default_rng(3)
+    tiny, big = np.finfo(np.float64).tiny, np.finfo(np.float64).max
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                      1e-310, -1e-310, tiny, -tiny, big, -big, 1e-17, -1e-17,
+                      -708.5, -745.2, -746.0, 709.0, 30.0, -30.0])
+    patterns = rng.integers(0, 2**63, size=20000, dtype=np.int64).view(np.float64)
+    return np.concatenate([edges, 12.0 * rng.standard_normal(20000), patterns, -patterns])
+
+
+class TestSeluKernel:
+    def test_value_equals_where_form_bit_for_bit(self):
+        x = selu_inputs()
+        want, _ = selu_where_form(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for leaf in (const(x), var(x)):
+                got = ad.selu(leaf).value
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_gradient_equals_where_form_bit_for_bit(self):
+        x = selu_inputs()
+        g = np.random.default_rng(4).standard_normal(x.shape)
+        _, dx = selu_where_form(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            (got,) = ad.selu(var(x)).vjp(g)
+        assert np.array_equal(got.view(np.uint64), (g * dx).view(np.uint64))
+
+    def test_input_left_unchanged(self):
+        x = selu_inputs()
+        before = x.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            ad.selu(const(x))
+            ad.selu(var(x))
+        assert np.array_equal(x.view(np.uint64), before.view(np.uint64))
+
+
+class TestNoTape:
+    def test_nodes_made_inside_have_no_parents(self):
+        rng = np.random.default_rng(5)
+        w, x = var(rng.standard_normal((3, 2))), const(rng.standard_normal((4, 3)))
+        taped = ad.selu(ad.matmul(x, w))
+        with ad.no_tape():
+            plain = ad.selu(ad.matmul(x, w))
+        assert taped.parents and taped.requires
+        assert plain.parents == () and plain.vjp is None and not plain.requires
+        assert np.array_equal(plain.value, taped.value)
+
+    def test_restored_after_exception(self):
+        with pytest.raises(RuntimeError):
+            with ad.no_tape():
+                raise RuntimeError("inside")
+        a = var(np.ones(2))
+        assert ad.add(a, a).parents == (a, a)
+
+    def test_nested_scopes_restore_the_outer_one(self):
+        with ad.no_tape():
+            with ad.no_tape():
+                pass
+            assert ad.neg(var(np.ones(2))).parents == ()
+
+    def test_other_threads_keep_recording(self):
+        seen = []
+
+        def build():
+            a = var(np.ones(2))
+            seen.append(ad.mul(a, a).parents)
+
+        with ad.no_tape():
+            worker = threading.Thread(target=build)
+            worker.start()
+            worker.join(timeout=30)
+            assert ad.neg(var(np.ones(2))).parents == ()
+        assert not worker.is_alive()
+        assert len(seen) == 1 and len(seen[0]) == 2
 
 
 def fd_scalar(f, x0: float, h: float = 1e-6) -> float:

@@ -71,6 +71,17 @@ class TestSimulateCommand:
         assert run(args + ["--out", str(b)]) == 0
         assert a.read_bytes().replace(b"a.csv", b"") == b.read_bytes().replace(b"b.csv", b"")
 
+    def test_grid_starting_with_minus_sign(self, tmp_path):
+        args = ["simulate", "--code", "rm", "--m", "3", "--r", "1", "--blocks", "200",
+                "--min-block-errors", "0", "--threads", "1", "--seed", "4"]
+        spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+        assert run(args + ["--snr", "-5:1:-3", "--out", str(spaced)]) == 0
+        assert run(args + ["--snr=-5:1:-3", "--out", str(joined)]) == 0
+        spaced_lines = spaced.read_text().splitlines()
+        assert "--snr -5:1:-3" in spaced_lines[0]
+        assert [line.split(",")[0] for line in spaced_lines[2:]] == ["-5.0", "-4.0", "-3.0"]
+        assert spaced_lines[1:] == joined.read_text().splitlines()[1:]
+
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:
             run(["simulate", "--code", "rm", "--m", "3", "--r", "1",
@@ -355,6 +366,16 @@ class TestNumericBoundaries:
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
         assert not out.exists()
 
+    def test_non_numeric_csv_input(self, tmp_path, capsys):
+        src = tmp_path / "llrs.csv"
+        src.write_text("# header\n1.0,abc,0.5,1.0,1.0,1.0,1.0,1.0\n")
+        out = tmp_path / "dec.txt"
+        assert run(["decode", "--code", "rm", "--m", "3", "--r", "1",
+                    "--in", str(src), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "llrs.csv:2" in err[0]
+        assert not out.exists()
+
     def test_non_finite_f64_input(self, tmp_path):
         src = tmp_path / "llrs.f64"
         np.array([1.0, np.nan, 1.0, 1.0], dtype="<f8").tofile(src)
@@ -369,6 +390,22 @@ class TestBadCheckpoints:
     def test_malformed_checkpoint_exits_1(self, tmp_path, capsys, doc):
         ckpt = tmp_path / "bad.json"
         ckpt.write_text(doc)
+        assert run(["codes", "info", "--code", "ko", "--checkpoint", str(ckpt)]) == 1
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("field", ["code", "weights"])
+    def test_malformed_nested_field_exits_1(self, tmp_path, capsys, field):
+        from plotkinlab.codes import build_rm_tree
+        from plotkinlab.ko import build_ko_model, save_checkpoint
+
+        model = build_ko_model(build_rm_tree(3, 1), {"family": "rm", "m": 3, "r": 1},
+                               "tiny", seed=1)
+        if field == "code":
+            model.code = {"family": "rm"}
+        else:
+            model.enc[model.neural_ids()[0]].weights[0][0, 0] = np.nan
+        ckpt = tmp_path / "bad.json"
+        save_checkpoint(model, ckpt)
         assert run(["codes", "info", "--code", "ko", "--checkpoint", str(ckpt)]) == 1
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
 

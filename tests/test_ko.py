@@ -155,6 +155,50 @@ class TestKoDecode:
         assert report["max_rel_err"] <= 1e-4
 
 
+def polar_model(seed=3):
+    tree = build_polar_tree(polar_spec(64, 7))
+    return build_ko_model(tree, {"family": "polar", "n": 64, "k": 7},
+                          "tiny", "all_but_root", seed=seed)
+
+
+class TestTapeFreeInference:
+    """ko_encode/ko_decode run the graphs without a tape; their values must
+    equal the taped graphs' values bit for bit."""
+
+    MODELS = {
+        "ko82_standard": lambda: make_model(8, 2, "standard", seed=1),
+        "ko82_tiny": lambda: make_model(8, 2, "tiny", seed=1),
+        "polar64_all_but_root": polar_model,
+    }
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_values_equal_taped_graphs(self, name):
+        model = self.MODELS[name]()
+        rng = np.random.default_rng(8)
+        msgs = rng.integers(0, 2, (12, model.k), dtype=np.uint8)
+        binding = bind(model, train_encoder=True, train_decoder=True)
+        taped_x = ko_encode_graph(model, msgs, binding)
+        assert taped_x.parents
+        assert np.array_equal(ko_encode(model, msgs), taped_x.value)
+        y = taped_x.value + 0.8 * rng.standard_normal(taped_x.shape)
+        taped_llrs, _ = ko_decode_graph(model, ad.const(y), binding)
+        llrs, result = ko_decode(model, y)
+        assert np.array_equal(llrs, taped_llrs.value)
+        assert np.array_equal(result.message, (taped_llrs.value < 0).astype(np.uint8))
+
+    def test_one_dimensional_input(self):
+        model = make_model(8, 2, "standard", seed=1)
+        msg = np.random.default_rng(9).integers(0, 2, model.k, dtype=np.uint8)
+        binding = bind(model, train_encoder=True, train_decoder=True)
+        taped_x = ko_encode_graph(model, msg, binding).value
+        x = ko_encode(model, msg)
+        assert x.shape == (model.n,) and np.array_equal(x, taped_x[0])
+        llrs, result = ko_decode(model, x)
+        taped_llrs, _ = ko_decode_graph(model, ad.const(taped_x), binding)
+        assert llrs.shape == (model.k,) and np.array_equal(llrs, taped_llrs.value[0])
+        assert result.message.shape == (model.k,)
+
+
 class TestBinarize:
     def test_zero_model_unchanged(self):
         model = make_model(4, 2, init="zeros")
@@ -227,6 +271,39 @@ class TestCheckpoints:
         del doc[key]
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError, match=key):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda doc: doc["code"].pop("m"), "lacks 'm'"),
+        (lambda doc: doc["code"].update(family="bch"), "unknown code family"),
+        (lambda doc: doc["code"].update(m="8"), "bad checkpoint code description"),
+        (lambda doc: doc.update(profile="huge"), "unknown profile"),
+        (lambda doc: doc["blocks"]["1"].pop("dec_left"), "dec_left block of node 1"),
+        (lambda doc: doc["blocks"]["1"]["enc"].pop("widths"), "block lacks 'widths'"),
+        (lambda doc: doc["blocks"]["1"]["enc"].update(weights=[]), "layer count"),
+        (lambda doc: doc["blocks"]["1"]["enc"]["weights"].append("AAAA"), "bad checkpoint block"),
+        (lambda doc: doc["blocks"]["1"]["enc"].update(biases="x"), "bad checkpoint block"),
+        (lambda doc: doc.update(blocks=5), "do not match"),
+    ], ids=["code_lacks_m", "unknown_family", "m_is_text", "unknown_profile",
+            "entry_lacks_block", "block_lacks_widths", "no_layers", "extra_layer",
+            "biases_not_a_list", "blocks_not_a_dict"])
+    def test_rejects_malformed_nested_field(self, tmp_path, edit, match):
+        path = tmp_path / "m.json"
+        save_checkpoint(make_model(3, 1), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_weights(self, tmp_path, bad):
+        model = make_model(3, 1)
+        nid = model.neural_ids()[0]
+        model.dec_right[nid].biases[-1][0] = bad
+        path = tmp_path / "m.json"
+        save_checkpoint(model, path)
+        with pytest.raises(CheckpointError, match="non-finite"):
             load_checkpoint(path)
 
     def test_records_block_inventory(self, tmp_path):

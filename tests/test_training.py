@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from plotkinlab.bits import bpsk
 from plotkinlab.channel import awgn, bursty, rayleigh_fast, transmit
 from plotkinlab.codes import build_rm_tree, tree_encode
 from plotkinlab.decoding import dumer_decode
-from plotkinlab.ko import build_ko_model, save_checkpoint
+from plotkinlab.ko import build_ko_model, ko_decode, ko_encode, save_checkpoint
 from plotkinlab.training import (
     TrainConfig,
     TrainingDiverged,
@@ -272,3 +274,23 @@ class TestChannelPass:
         rng.standard_normal((8, 4))
         gain = rng.rayleigh(scale=1.0 / np.sqrt(2.0), size=(8, 4))
         assert np.array_equal(x.grad, gain)
+
+
+class TestTapeLifetime:
+    def test_refcounting_alone_frees_every_tape(self):
+        """No step or inference call leaves a reference cycle behind, so the
+        tape is freed when the step ends, not at a later cyclic collection."""
+        model = make_model(3, 1, seed=2)
+        alternating = TrainConfig(epochs=1, dec_steps=2, enc_steps=2, batch_size=20, seed=3)
+        softmap = TrainConfig(epochs=1, dec_steps=0, enc_steps=2, batch_size=20, seed=3,
+                              mode="encoder_only_softmap")
+        train(model, alternating)
+        gc.collect()
+        gc.disable()
+        try:
+            train(model, alternating)
+            train(model, softmap)
+            ko_decode(model, ko_encode(model, np.ones((4, 4), dtype=np.uint8)))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
