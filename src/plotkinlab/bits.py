@@ -6,6 +6,8 @@ bit b to the real symbol 1 - 2b, under which XOR becomes multiplication.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 # 2x2 Plotkin/polar kernel; its m-th Kronecker power generates length-2^m codes.
@@ -19,7 +21,8 @@ def as_bits(w, name: str = "word") -> np.ndarray:
     arr = np.asarray(w)
     if arr.size == 0:
         raise ValueError(f"{name} must be non-empty")
-    if not np.isin(arr, (0, 1)).all():
+    valid = arr.max() <= 1 if arr.dtype == np.uint8 else np.isin(arr, (0, 1)).all()
+    if not valid:
         raise ValueError(f"{name} entries must all be 0 or 1")
     return arr.astype(np.uint8)
 
@@ -55,11 +58,37 @@ def kronecker_generator(m: int) -> np.ndarray:
     return g.astype(np.uint8)
 
 
+@lru_cache(maxsize=None)
+def hadamard_matrix(m: int) -> np.ndarray:
+    """Sylvester Hadamard matrix H[i, j] = (-1)^popcount(i & j), 2^m square."""
+    n = 1 << m
+    idx = np.arange(n)
+    pc = np.bitwise_count(idx[:, None] & idx[None, :]) if hasattr(np, "bitwise_count") else None
+    if pc is None:
+        pc = np.zeros((n, n), dtype=np.int64)
+        for bit in range(m):
+            pc += (idx[:, None] >> bit & 1) & (idx[None, :] >> bit & 1)
+    return np.where(pc % 2 == 0, 1.0, -1.0)
+
+
+@lru_cache(maxsize=None)
+def parity_table(m: int) -> np.ndarray:
+    """Read-only bits P[i, x] = popcount(i & x) mod 2, the 0/1 form of
+    hadamard_matrix(m). Row i is the RM(m,1) codeword with linear message
+    bits i (LSB first) and affine bit 0."""
+    table = (hadamard_matrix(m) < 0).astype(np.uint8)
+    table.flags.writeable = False
+    return table
+
+
 def hamming_weight(w) -> int:
     """Number of 1-entries in a binary word."""
     return int(np.sum(as_bits(w)))
 
 
+_BPSK_SYMBOLS = np.array([1.0, -1.0])
+
+
 def bpsk(w) -> np.ndarray:
     """Map bits to +/-1 symbols via b -> 1 - 2b (bit 0 -> +1)."""
-    return 1.0 - 2.0 * as_bits(w).astype(np.float64)
+    return np.take(_BPSK_SYMBOLS, as_bits(w))

@@ -103,7 +103,8 @@ def draw_noise(ch: Channel, shape, rng: np.random.Generator):
     rayleigh: gain = a, offset = n, a Rayleigh with E[a^2] = 1
     bursty:   offset = n + w,      w ~ N(0, burst_sigma^2) w.p. burst_prob
     """
-    noise = ch.sigma * rng.standard_normal(shape)
+    noise = rng.standard_normal(shape)
+    noise *= ch.sigma
     if ch.kind == AWGN:
         return None, noise
     if ch.kind == RAYLEIGH:
@@ -117,7 +118,9 @@ def transmit(x, ch: Channel, rng: np.random.Generator) -> np.ndarray:
     """Pass symbols through the channel, drawing noise from rng."""
     x = np.asarray(x, dtype=np.float64)
     gain, offset = draw_noise(ch, x.shape, rng)
-    return x + offset if gain is None else gain * x + offset
+    if gain is None:
+        return np.add(offset, x, out=offset)
+    return np.add(np.multiply(gain, x, out=gain), offset, out=gain)
 
 
 def channel_llr(y, sigma: float) -> np.ndarray:

@@ -114,10 +114,12 @@ def write_bits_file(path: str, bits: np.ndarray, header: str) -> None:
 
 def read_real_file(path: str, fmt: str, width: int) -> np.ndarray:
     if fmt == "f64":
-        flat = np.fromfile(path, dtype="<f8")
-        if flat.size == 0 or flat.size % width:
-            raise UsageError(f"{path}: length {flat.size} is not a multiple of {width}")
-        return _finite(path, flat.reshape(-1, width))
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        if not raw or len(raw) % (8 * width):
+            raise UsageError(f"{path}: {len(raw)} bytes is not a whole number of "
+                             f"rows of {width} float64 values")
+        return _finite(path, np.frombuffer(raw, dtype="<f8").reshape(-1, width).copy())
     rows = []
     with open(path) as fh:
         for line_no, line in enumerate(fh, 1):
@@ -160,10 +162,10 @@ def write_real_file(path: str, data: np.ndarray, fmt: str, header: str) -> None:
 def _load_system(args):
     if args.code == "rm":
         _require(args.m is not None and args.r is not None, "--code rm needs --m and --r")
-        return rm_system(args.m, args.r, args.decoder or "dumer")
+        return _from_flags(rm_system, args.m, args.r, args.decoder or "dumer")
     if args.code == "polar":
         _require(args.n is not None and args.k is not None, "--code polar needs --n and --k")
-        spec = polar_spec(args.n, args.k, args.design_z0)
+        spec = _from_flags(polar_spec, args.n, args.k, args.design_z0)
         return polar_system(spec, args.decoder or "sc")
     if args.code == "ko":
         _require(args.checkpoint is not None, "--code ko needs --checkpoint")
@@ -178,6 +180,15 @@ def _require(cond: bool, message: str) -> None:
         raise UsageError(message)
 
 
+def _from_flags(build, *params):
+    """build(*params) on code parameters given as flags, where a rejected
+    parameter (say, a code beyond the size limit) is a usage error."""
+    try:
+        return build(*params)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -185,7 +196,7 @@ def _require(cond: bool, message: str) -> None:
 def cmd_codes_info(args, argv) -> int:
     if args.code == "rm":
         _require(args.m is not None and args.r is not None, "--code rm needs --m and --r")
-        spec = rm_spec(args.m, args.r)
+        spec = _from_flags(rm_spec, args.m, args.r)
         tree = build_rm_tree(args.m, args.r)
         info = {
             "code": f"RM({args.m},{args.r})", "n": spec.n, "k": spec.k,
@@ -194,7 +205,7 @@ def cmd_codes_info(args, argv) -> int:
         }
     elif args.code == "polar":
         _require(args.n is not None and args.k is not None, "--code polar needs --n and --k")
-        pspec = polar_spec(args.n, args.k, args.design_z0)
+        pspec = _from_flags(polar_spec, args.n, args.k, args.design_z0)
         tree = build_polar_tree(pspec)
         info = {
             "code": f"Polar({args.n},{args.k})", "n": pspec.n, "k": pspec.k,
@@ -292,13 +303,13 @@ def cmd_train(args, argv) -> int:
         if args.polar:
             n, k = args.polar
             code = {"family": "polar", "n": n, "k": k, "design_z0": args.design_z0}
-            tree = build_polar_tree(polar_spec(n, k, args.design_z0))
+            tree = build_polar_tree(_from_flags(polar_spec, n, k, args.design_z0))
             neuralize = "all_but_root"
         else:
             _require(args.m is not None and args.r is not None,
                      "train needs --m/--r or --polar N K or --init-checkpoint")
             code = {"family": "rm", "m": args.m, "r": args.r}
-            tree = build_rm_tree(args.m, args.r)
+            tree = _from_flags(build_rm_tree, args.m, args.r)
             neuralize = "all_internal"
         model = build_ko_model(tree, code, args.profile, neuralize, seed=cfg.seed)
     model, log = train(model, cfg, channel_kind=args.channel)

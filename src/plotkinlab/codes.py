@@ -23,7 +23,7 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .bits import as_bits, kronecker_generator
+from .bits import as_bits, kronecker_generator, parity_table
 
 REPETITION = "repetition"
 FIRST_ORDER = "first_order"
@@ -31,6 +31,11 @@ FULL_RATE = "full_rate"
 FROZEN = "frozen"
 
 MAX_CODEBOOK_K = 20
+
+# Largest supported code length 2^m, for RM and Polar codes alike. The tree
+# grows about 4x for every 2 added to m (RM(18,9) has 24,309 internal
+# nodes), so an unbounded m from a flag or a checkpoint exhausts memory.
+MAX_TREE_M = 10
 
 
 @dataclass(frozen=True)
@@ -149,8 +154,8 @@ def rm_k(m: int, r: int) -> int:
 
 def rm_spec(m: int, r: int) -> CodeSpec:
     """Parameters of RM(m,r): n=2^m, k=sum_{i<=r} C(m,i), d=2^(m-r)."""
-    if not 0 <= r <= m <= 10:
-        raise ValueError(f"need 0 <= r <= m <= 10, got m={m}, r={r}")
+    if not 0 <= r <= m <= MAX_TREE_M:
+        raise ValueError(f"need 0 <= r <= m <= {MAX_TREE_M}, got m={m}, r={r}")
     n = 1 << m
     k = rm_k(m, r)
     return CodeSpec("rm", m, r, n, k, k / n, 1 << (m - r))
@@ -164,8 +169,8 @@ def build_rm_tree(m: int, r: int) -> PlotkinTree:
     orders expand by the generic recursion
     RM(m,r) = Plotkin(RM(m-1,r), RM(m-1,r-1)).
     """
-    if not 0 <= r <= m:
-        raise ValueError(f"need 0 <= r <= m, got m={m}, r={r}")
+    if not 0 <= r <= m <= MAX_TREE_M:
+        raise ValueError(f"need 0 <= r <= m <= {MAX_TREE_M}, got m={m}, r={r}")
     k = rm_k(m, r)
     ids = itertools.count(1)
 
@@ -190,22 +195,16 @@ def build_rm_tree(m: int, r: int) -> PlotkinTree:
 # Leaf encoders (all XOR-linear; batched over leading axes)
 # ---------------------------------------------------------------------------
 
-def _position_bits(m: int) -> np.ndarray:
-    """(2^m, m) matrix of position-index bits, LSB first."""
-    pos = np.arange(1 << m)
-    return ((pos[:, None] >> np.arange(m)[None, :]) & 1).astype(np.uint8)
-
-
 def encode_first_order(m: int, msg: np.ndarray) -> np.ndarray:
     """RM(m,1) encoder: codeword position x carries b0 XOR sum_i b_i * x_{i-1}.
 
     This closed form equals the Plotkin recursion with the repetition bit in
     the last message slot, e.g. (b0,b1,b2) -> (b0, b0^b1, b0^b2, b0^b1^b2).
+    The linear part is row sum_i b_i 2^(i-1) of the parity table.
     """
     msg = np.atleast_2d(msg)
-    xbits = _position_bits(m)  # (n, m)
-    out = (msg[:, :1] + msg[:, 1:] @ xbits.T) % 2
-    return out.astype(np.uint8)
+    index = msg[:, 1:] @ (1 << np.arange(m))
+    return (parity_table(m)[index] ^ msg[:, :1]).astype(np.uint8, copy=False)
 
 
 def encode_full_rate(m: int, msg: np.ndarray) -> np.ndarray:
@@ -337,8 +336,8 @@ def polar_reliabilities(n: int, design_z0: float = 0.5) -> np.ndarray:
     more reliable. Exact for the binary erasure channel, a standard proxy
     otherwise.
     """
-    if n < 1 or n & (n - 1):
-        raise ValueError(f"n must be a power of two, got {n}")
+    if not 1 <= n <= 1 << MAX_TREE_M or n & (n - 1):
+        raise ValueError(f"n must be a power of two up to {1 << MAX_TREE_M}, got {n}")
     if not 0.0 < design_z0 < 1.0:
         raise ValueError(f"design_z0 must be in (0,1), got {design_z0}")
     z = np.array([design_z0], dtype=np.float64)

@@ -18,6 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .bits import hadamard_matrix, parity_table
 from .codes import (
     FIRST_ORDER,
     FROZEN,
@@ -32,6 +33,10 @@ from .codes import (
 
 HARD_MAP = "hard"
 SOFT_MAP = "soft"
+
+# Rows per fht tile: a (length, rows) float64 tile of a length-128 leaf
+# takes 1 MB, so its butterflies run in cache.
+FHT_TILE_ROWS = 1024
 
 
 # Scalar-operation cost helpers shared by the classical and KO decoders.
@@ -109,33 +114,31 @@ def fht(l) -> np.ndarray:
     """Unnormalized fast Walsh-Hadamard transform in Sylvester order.
 
     n log2(n) butterfly additions over the last axis; fht(fht(x)) == n*x.
+    The rows are transformed a tile at a time in batch-major (length, rows)
+    layout, so every butterfly is an in-place pass over contiguous rows.
     """
     x = np.asarray(l, dtype=np.float64)
     n = x.shape[-1]
     if n < 1 or n & (n - 1):
         raise ValueError(f"length must be a power of two, got {n}")
-    shape = x.shape
-    x = x.reshape(-1, n).copy()
-    h = 1
-    while h < n:
-        y = x.reshape(-1, n // (2 * h), 2, h)
-        x = np.stack([y[:, :, 0] + y[:, :, 1], y[:, :, 0] - y[:, :, 1]], axis=2)
-        x = x.reshape(-1, n)
-        h *= 2
-    return x.reshape(shape)
-
-
-@lru_cache(maxsize=None)
-def hadamard_matrix(m: int) -> np.ndarray:
-    """Sylvester Hadamard matrix H[i, j] = (-1)^popcount(i & j), 2^m square."""
-    n = 1 << m
-    idx = np.arange(n)
-    pc = np.bitwise_count(idx[:, None] & idx[None, :]) if hasattr(np, "bitwise_count") else None
-    if pc is None:
-        pc = np.zeros((n, n), dtype=np.int64)
-        for bit in range(m):
-            pc += (idx[:, None] >> bit & 1) & (idx[None, :] >> bit & 1)
-    return np.where(pc % 2 == 0, 1.0, -1.0)
+    rows = x.reshape(-1, n)
+    out = np.empty(rows.shape)
+    tile = max(1, min(FHT_TILE_ROWS, rows.shape[0]))
+    diff = np.empty(n // 2 * tile)
+    for start in range(0, rows.shape[0], tile):
+        buf = rows[start:start + tile].T.copy()
+        width = buf.shape[1]
+        h = 1
+        while h < n:
+            pairs = buf.reshape(n // (2 * h), 2, h * width)
+            a, b = pairs[:, 0], pairs[:, 1]
+            t = diff[:n // 2 * width].reshape(a.shape)
+            np.subtract(a, b, out=t)
+            a += b
+            b[...] = t
+            h *= 2
+        out[start:start + width] = buf.T
+    return out.reshape(x.shape)
 
 
 def map_decode(codebook: Codebook, l) -> tuple[np.ndarray, np.ndarray]:
@@ -161,9 +164,10 @@ def fht_map_decode_rm1(l, m: int) -> tuple[np.ndarray, np.ndarray]:
     The +/-1 images of the 2^(m+1) codewords are exactly the rows of the
     Hadamard matrix and their negations, so the transform lists all
     codeword correlations at once: pick i* = argmax |t_i|, then the
-    codeword is (1 - sign(t_i*) h_i*) / 2. The message is recovered from
-    (sign, i*): the affine bit is 1 iff the sign is negative and the linear
-    bits are the bits of i*. Returns (codeword, message).
+    codeword is row i* of the parity table, complemented when t_i* < 0.
+    The message is recovered from (sign, i*): the affine bit is 1 iff the
+    sign is negative and the linear bits are the bits of i*. Returns
+    (codeword, message).
     """
     l = np.asarray(l, dtype=np.float64)
     single = l.ndim == 1
@@ -174,8 +178,7 @@ def fht_map_decode_rm1(l, m: int) -> tuple[np.ndarray, np.ndarray]:
     best = np.argmax(np.abs(t), axis=1)
     vals = t[np.arange(t.shape[0]), best]
     neg = vals < 0
-    rows = hadamard_matrix(m)[best]
-    cw = ((1.0 - np.where(neg, -1.0, 1.0)[:, None] * rows) / 2.0).astype(np.uint8)
+    cw = parity_table(m)[best] ^ neg[:, None].view(np.uint8)
     msg = np.empty((t.shape[0], m + 1), dtype=np.uint8)
     msg[:, 0] = neg
     for i in range(1, m + 1):

@@ -408,7 +408,7 @@ def _encode_array(a: np.ndarray) -> str:
 
 
 def _decode_array(s: str, shape) -> np.ndarray:
-    raw = base64.b64decode(s.encode())
+    raw = base64.b64decode(s)
     arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
     if arr.size != int(np.prod(shape)):
         raise CheckpointError(f"array payload has {arr.size} values, expected {shape}")
@@ -471,7 +471,7 @@ def load_checkpoint(path) -> KoModel:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise CheckpointError(f"checkpoint {path} is not a JSON object")

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plotkinlab.cli import main, parse_snr_grid
 from plotkinlab.codes import polar_spec
@@ -420,3 +424,165 @@ class TestBurstFlagsInBlerDecomposition:
                         "--burst-sigma-mult", "20", "--json"]) == 0
             outs.append(json.loads(capsys.readouterr().out)["bler"])
         assert outs[1] > outs[0] + 0.5
+
+
+def run_captured(argv):
+    """main(argv) with its stderr captured: (exit status, stderr text)."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        status = main(list(argv))
+    return status, err.getvalue()
+
+
+def assert_clean_failure(status, err, out):
+    assert status in (1, 2), err
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+class TestCodeSizeLimit:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--code", "rm", "--m", "30", "--r", "15", "--snr", "0", "--out", "OUT"],
+        ["simulate", "--code", "polar", "--n", str(1 << 30), "--k", "7", "--snr", "0",
+         "--out", "OUT"],
+        ["analyze", "bler-decomposition", "--code", "rm", "--m", "11", "--r", "1",
+         "--snr", "0", "--out", "OUT"],
+        ["codes", "info", "--code", "rm", "--m", "30", "--r", "15"],
+        ["codes", "info", "--code", "polar", "--n", "2048", "--k", "7"],
+        ["train", "--m", "30", "--r", "15", "--checkpoint", "OUT"],
+        ["train", "--polar", "4096", "7", "--checkpoint", "OUT"],
+    ], ids=["simulate-rm", "simulate-polar", "bler-rm", "info-rm", "info-polar",
+            "train-rm", "train-polar"])
+    def test_oversized_code_is_usage_error(self, tmp_path, argv):
+        out = tmp_path / "out"
+        status, err = run_captured([str(out) if a == "OUT" else a for a in argv])
+        assert status == 2
+        assert_clean_failure(status, err, out)
+
+    def test_oversized_checkpoint_exits_1(self, tmp_path):
+        from plotkinlab.codes import build_rm_tree
+        from plotkinlab.ko import build_ko_model, save_checkpoint
+
+        ckpt = tmp_path / "big.json"
+        save_checkpoint(build_ko_model(build_rm_tree(3, 1), {"family": "rm", "m": 3, "r": 1},
+                                       "tiny", seed=1), ckpt)
+        doc = json.loads(ckpt.read_text())
+        doc["code"] = {"family": "rm", "m": 30, "r": 15}
+        ckpt.write_text(json.dumps(doc))
+        out = tmp_path / "sim.csv"
+        status, err = run_captured(["simulate", "--code", "ko", "--checkpoint", str(ckpt),
+                                    "--snr", "0", "--out", str(out)])
+        assert status == 1
+        assert_clean_failure(status, err, out)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=8)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    from plotkinlab.codes import build_rm_tree
+    from plotkinlab.ko import build_ko_model, save_checkpoint
+
+    path = tmp_path_factory.mktemp("fuzz")
+    save_checkpoint(build_ko_model(build_rm_tree(3, 1), {"family": "rm", "m": 3, "r": 1},
+                                   "tiny", seed=1), path / "base.json")
+    (path / "msgs.txt").write_text("0110\n1011\n")
+    return path
+
+
+def mutate(data, doc):
+    """doc with one randomly chosen nested value replaced or deleted."""
+    parent, key = None, None
+    node = doc
+    while isinstance(node, (dict, list)) and node and (
+            parent is None or data.draw(st.booleans())):
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, data.draw(st.sampled_from(list(keys)))
+        node = parent[key]
+    if isinstance(parent, dict) and data.draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = data.draw(JSON_VALUES)
+    return doc
+
+
+class TestFuzzedInputs:
+    """Any input file either works or fails with one line and no output."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_mutated_checkpoint(self, fuzz_dir, data):
+        doc = mutate(data, json.loads((fuzz_dir / "base.json").read_text()))
+        text = json.dumps(doc)
+        if data.draw(st.booleans()):
+            text = text[:data.draw(st.integers(0, len(text) - 1))]
+        ckpt, out = fuzz_dir / "ckpt.json", fuzz_dir / "enc.csv"
+        ckpt.write_text(text)
+        out.unlink(missing_ok=True)
+        status, err = run_captured(["encode", "--code", "ko", "--checkpoint", str(ckpt),
+                                    "--in", str(fuzz_dir / "msgs.txt"), "--out", str(out)])
+        if status == 0:
+            assert err == "" and out.exists()
+        else:
+            assert_clean_failure(status, err, out)
+
+    @pytest.mark.parametrize("raw", [b"[" * 100000 + b"]" * 100000, b"\xff\xfe{}"],
+                             ids=["deeply-nested", "not-utf8"])
+    def test_unreadable_checkpoint(self, fuzz_dir, raw):
+        ckpt, out = fuzz_dir / "unreadable.json", fuzz_dir / "enc.csv"
+        ckpt.write_bytes(raw)
+        out.unlink(missing_ok=True)
+        status, err = run_captured(["encode", "--code", "ko", "--checkpoint", str(ckpt),
+                                    "--in", str(fuzz_dir / "msgs.txt"), "--out", str(out)])
+        assert status == 1 and "cannot read checkpoint" in err
+        assert_clean_failure(status, err, out)
+
+    @given(st.text(alphabet=st.sampled_from("0123456789.,-+eEinfaINF# \t\n\r") | st.characters(),
+                   max_size=200))
+    @settings(max_examples=150, deadline=None)
+    def test_fuzzed_csv_llrs(self, fuzz_dir, text):
+        src, out = fuzz_dir / "llrs.csv", fuzz_dir / "dec.txt"
+        src.write_bytes(text.encode("utf-8", "surrogatepass"))
+        out.unlink(missing_ok=True)
+        status, err = run_captured(["decode", "--code", "rm", "--m", "2", "--r", "1",
+                                    "--in", str(src), "--out", str(out)])
+        if status == 0:
+            assert err == "" and out.exists()
+        else:
+            assert_clean_failure(status, err, out)
+
+    @given(st.text(alphabet=st.sampled_from("01# \t\n\r") | st.characters(), max_size=60))
+    @settings(max_examples=150, deadline=None)
+    def test_fuzzed_message_bits(self, fuzz_dir, text):
+        src, out = fuzz_dir / "msgs.bits", fuzz_dir / "enc.csv"
+        src.write_bytes(text.encode("utf-8", "surrogatepass"))
+        out.unlink(missing_ok=True)
+        status, err = run_captured(["encode", "--code", "rm", "--m", "2", "--r", "1",
+                                    "--in", str(src), "--out", str(out)])
+        if status == 0:
+            assert err == "" and out.exists()
+        else:
+            assert_clean_failure(status, err, out)
+
+    @given(st.binary(max_size=200) | st.tuples(
+        st.lists(st.floats(), max_size=24), st.binary(max_size=9)).map(
+        lambda parts: np.array(parts[0], dtype="<f8").tobytes() + parts[1]))
+    @settings(max_examples=150, deadline=None)
+    def test_fuzzed_f64_llrs(self, fuzz_dir, raw):
+        src, out = fuzz_dir / "llrs.f64", fuzz_dir / "dec.txt"
+        src.write_bytes(raw)
+        out.unlink(missing_ok=True)
+        status, err = run_captured(["decode", "--code", "rm", "--m", "2", "--r", "1",
+                                    "--format", "f64", "--in", str(src), "--out", str(out)])
+        values = np.frombuffer(raw[:len(raw) // 8 * 8], dtype="<f8")
+        if raw and len(raw) % 32 == 0 and np.isfinite(values).all():
+            assert status == 0 and err == "" and out.exists()
+        else:
+            assert status == 2
+            assert_clean_failure(status, err, out)

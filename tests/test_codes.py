@@ -6,6 +6,7 @@ import pytest
 from plotkinlab.codes import (
     FROZEN,
     FULL_RATE,
+    MAX_TREE_M,
     REPETITION,
     Internal,
     Leaf,
@@ -89,6 +90,12 @@ class TestRmTree:
                 half = node.length // 2
                 assert node.v.length == half and node.u.length == half
         assert tree.root.length == tree.n
+
+    def test_size_limit(self):
+        assert build_rm_tree(MAX_TREE_M, 5).n == 1 << MAX_TREE_M
+        for m, r in ((MAX_TREE_M + 1, 1), (18, 9), (30, 15), (3, 4), (-1, 0)):
+            with pytest.raises(ValueError, match="need 0 <= r <= m"):
+                build_rm_tree(m, r)
 
 
 class TestRmEncode:
@@ -203,6 +210,12 @@ class TestPolarReliabilities:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             polar_reliabilities(12, 0.5)
+
+    def test_size_limit(self):
+        assert polar_reliabilities(1 << MAX_TREE_M, 0.5).size == 1 << MAX_TREE_M
+        for n in (1 << (MAX_TREE_M + 1), 1 << 30):
+            with pytest.raises(ValueError, match="power of two up to"):
+                polar_spec(n, 7)
 
 
 class TestPolarSpec:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from plotkinlab import evaluation
 from plotkinlab.codes import build_rm_tree, enumerate_codebook, polar_spec
 from plotkinlab.evaluation import (
     RANDOM_PAIRS,
@@ -56,6 +57,28 @@ class TestSimulate:
         a = simulate_error_rates(system, "awgn", [4.0], threads=1, **kwargs)
         b = simulate_error_rates(system, "awgn", [4.0], threads=4, **kwargs)
         assert a == b
+
+    # (blocks, bit errors, block errors) per SNR point, recorded with the
+    # first implementation of the classical kernels (the np.stack transform,
+    # the matmul first-order encoder, the arithmetic BPSK map and channel).
+    # Kernel rewrites must reproduce them exactly at any thread count.
+    @pytest.mark.parametrize("system, channel, grid, counts", [
+        (lambda: rm_system(8, 2, "dumer"), "awgn", [-5.0, -3.0],
+         [(1000, 8911, 547), (1000, 1601, 101)]),
+        (lambda: rm_system(8, 2, "dumer-soft"), "awgn", [-5.0, -3.0],
+         [(1000, 9227, 621), (1000, 1539, 109)]),
+        (lambda: polar_system(polar_spec(64, 7)), "rayleigh", [-4.0, 0.0],
+         [(1000, 396, 130), (1000, 8, 5)]),
+    ], ids=["rm82-dumer", "rm82-dumer-soft", "polar64-sc"])
+    def test_pinned_classical_counts(self, monkeypatch, system, channel, grid, counts):
+        monkeypatch.setattr(evaluation, "CHUNK_BLOCKS", 500)  # two chunks a point
+        system = system()
+        for threads in (1, 2):
+            results = simulate_error_rates(system, channel, grid, min_blocks=1000,
+                                           min_block_errors=0, max_blocks=1000,
+                                           seed=11, threads=threads)
+            got = [(r.blocks, r.bit_errors, r.block_errors) for r in results]
+            assert got == counts, threads
 
     def test_error_hunting_extends_blocks(self):
         system = rm_system(3, 1)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -295,6 +296,23 @@ class TestCheckpoints:
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError, match=match):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("code", [
+        {"family": "rm", "m": 30, "r": 15},
+        {"family": "rm", "m": 11, "r": 1},
+        {"family": "polar", "n": 1 << 30, "k": 7},
+        {"family": "polar", "n": 2048, "k": 7},
+    ], ids=["rm30_15", "rm11_1", "polar2^30", "polar2048"])
+    def test_rejects_oversized_code_quickly(self, tmp_path, code):
+        path = tmp_path / "m.json"
+        save_checkpoint(make_model(3, 1), path)
+        doc = json.loads(path.read_text())
+        doc["code"] = code
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        with pytest.raises(CheckpointError, match="bad checkpoint code description"):
+            load_checkpoint(path)
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_weights(self, tmp_path, bad):
