@@ -217,11 +217,6 @@ def mean_all(a: Node) -> Node:
                lambda g: (np.broadcast_to(g / size, a.value.shape).copy(),))
 
 
-def inner_product(a: Node, b: Node) -> Node:
-    val = np.sum(a.value * b.value)
-    return _op(val, (a, b), lambda g: (g * b.value, g * a.value))
-
-
 def bce_with_logits(llr: Node, targets) -> Node:
     """Mean binary cross entropy where sigmoid(llr) is the bit-0 probability.
 

@@ -385,7 +385,7 @@ def cmd_analyze_bler(args, argv) -> int:
 
 def cmd_analyze_opcount(args, argv) -> int:
     system = _load_system(args)
-    ops = count_decode_ops(system, snr_db=args.snr_value, seed=args.seed)
+    ops = count_decode_ops(system)
     payload = {"code": system.name, "decoder": system.decoder_name,
                "adds": ops.adds, "muls": ops.muls,
                "comparisons": ops.comparisons, "exp_logs": ops.exp_logs,
@@ -522,8 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oc = an_sub.add_parser("opcount", help="scalar operations per decode call")
     _add_code_args(p_oc)
-    p_oc.add_argument("--snr", dest="snr_value", type=float, default=0.0)
-    p_oc.add_argument("--seed", type=int, default=0)
     p_oc.add_argument("--json", action="store_true")
     p_oc.set_defaults(func=cmd_analyze_opcount)
 

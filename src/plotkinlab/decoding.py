@@ -23,6 +23,7 @@ from .codes import (
     FIRST_ORDER,
     FROZEN,
     FULL_RATE,
+    MAX_CODEBOOK_K,
     REPETITION,
     Codebook,
     Leaf,
@@ -39,34 +40,13 @@ SOFT_MAP = "soft"
 FHT_TILE_ROWS = 1024
 
 
-# Scalar-operation cost helpers shared by the classical and KO decoders.
-# Convention: every scalar add/XOR, multiply, comparison (including abs,
-# sign tests and argmax steps) and exp/log evaluation counts as one
-# operation; data movement and RNG are free.
-
-def count_lse(ops, nelems: int) -> None:
-    """a+b, a-b, two result adds; sign product and two negations; sign
-    extraction, min and four abs tests; two exp and two log."""
-    if ops is not None:
-        ops.count(adds=4 * nelems, muls=3 * nelems, comparisons=7 * nelems,
-                  exp_logs=4 * nelems)
-
-
-def count_parity(ops, nelems: int) -> None:
-    if ops is not None:
-        ops.count(adds=2 * nelems, muls=2 * nelems)
-
-
-def count_sigmoid(ops, nelems: int) -> None:
-    if ops is not None:
-        ops.count(exp_logs=nelems, adds=nelems, muls=nelems)
-
-
-def count_soft_reencode(ops, generator: np.ndarray, batch: int) -> None:
-    if ops is not None:
-        k = generator.shape[0]
-        extra = int(np.maximum(generator.sum(axis=0).astype(np.int64) - 1, 0).sum())
-        ops.count(muls=batch * (k + extra), adds=batch * k)
+def require_finite(llr) -> np.ndarray:
+    """llr as a float64 array; ValueError if it holds a NaN or an infinity,
+    which would otherwise decode silently to arbitrary bits."""
+    llr = np.asarray(llr, dtype=np.float64)
+    if not np.isfinite(llr).all():
+        raise ValueError("decoder input holds NaN or infinite values")
+    return llr
 
 
 def lse(a, b) -> np.ndarray:
@@ -210,6 +190,9 @@ class LeafDecodeData:
 @lru_cache(maxsize=None)
 def leaf_decode_data(kind: str, m: int) -> LeafDecodeData:
     leaf = Leaf(kind, m, 0, _leaf_k(kind, m))
+    if leaf.k > MAX_CODEBOOK_K:
+        raise ValueError(f"cannot decode leaf {leaf.label()}: its {leaf.k} message bits "
+                         f"exceed the {MAX_CODEBOOK_K}-bit codebook limit")
     gen = leaf_generator(leaf)
     if kind == FIRST_ORDER:
         n = leaf.length
@@ -237,7 +220,7 @@ def _leaf_k(kind: str, m: int) -> int:
     return table[kind]
 
 
-def softmap_scores(leaf: Leaf, l: np.ndarray, ops=None) -> np.ndarray:
+def softmap_scores(leaf: Leaf, l: np.ndarray) -> np.ndarray:
     """Correlations <l, 1-2c> for every codeword of the leaf.
 
     First-order leaves use the Walsh-Hadamard transform (n log n instead of
@@ -246,16 +229,8 @@ def softmap_scores(leaf: Leaf, l: np.ndarray, ops=None) -> np.ndarray:
     data = leaf_decode_data(leaf.kind, leaf.m)
     if data.is_first_order:
         t = fht(l)
-        if ops is not None:
-            n = leaf.length
-            ops.count(adds=l.shape[0] * n * n.bit_length() - l.shape[0] * n,
-                      muls=l.shape[0] * n)
         return np.concatenate([t, -t], axis=1)
-    scores = l @ data.signs.T
-    if ops is not None:
-        v, n = data.signs.shape
-        ops.count(muls=l.shape[0] * v * n, adds=l.shape[0] * v * (n - 1))
-    return scores
+    return l @ data.signs.T
 
 
 def max_log_llrs(scores: np.ndarray, bit_is_zero: np.ndarray):
@@ -286,7 +261,7 @@ def max_log_llrs(scores: np.ndarray, bit_is_zero: np.ndarray):
     return llrs, arg0, arg1
 
 
-def softmap_forward(leaf: Leaf, l: np.ndarray, ops=None):
+def softmap_forward(leaf: Leaf, l: np.ndarray):
     """Max-log per-bit LLRs for a leaf, with the argmax pair per bit.
 
     Bit i gets max over bit-i=0 codewords of <l, 1-2c> minus the max over
@@ -295,18 +270,14 @@ def softmap_forward(leaf: Leaf, l: np.ndarray, ops=None):
     gradients and for re-encoding checks).
     """
     data = leaf_decode_data(leaf.kind, leaf.m)
-    llrs, arg0, arg1 = max_log_llrs(softmap_scores(leaf, l, ops), data.mask0)
-    if ops is not None:
-        batch, k = llrs.shape
-        ops.count(comparisons=batch * k * (data.signs.shape[0] - 2), adds=batch * k)
-    return llrs, arg0, arg1
+    return max_log_llrs(softmap_scores(leaf, l), data.mask0)
 
 
-def soft_map_llrs(leaf: Leaf, l, ops=None) -> np.ndarray:
+def soft_map_llrs(leaf: Leaf, l) -> np.ndarray:
     """Per-bit LLRs of a leaf's message bits under the max-log rule."""
     l = np.asarray(l, dtype=np.float64)
     single = l.ndim == 1
-    llrs, _, _ = softmap_forward(leaf, np.atleast_2d(l), ops)
+    llrs, _, _ = softmap_forward(leaf, np.atleast_2d(l))
     return llrs[0] if single else llrs
 
 
@@ -349,7 +320,7 @@ class DecodeResult:
     leaf_bits: list[np.ndarray]
 
 
-def dumer_decode(tree: PlotkinTree, llr, leaf_rule: str = HARD_MAP, ops=None) -> DecodeResult:
+def dumer_decode(tree: PlotkinTree, llr, leaf_rule: str = HARD_MAP) -> DecodeResult:
     """Recursive decoding over a Plotkin tree from per-position LLRs.
 
     At each internal node the v-child feature is the elementwise LSE of the
@@ -360,7 +331,7 @@ def dumer_decode(tree: PlotkinTree, llr, leaf_rule: str = HARD_MAP, ops=None) ->
     the soft-sign lift of the sigmoid bit probabilities (the classical
     skeleton of the KO decoder).
     """
-    llr = np.asarray(llr, dtype=np.float64)
+    llr = require_finite(llr)
     single = llr.ndim == 1
     l2 = np.atleast_2d(llr)
     if l2.shape[1] != tree.n:
@@ -380,37 +351,17 @@ def dumer_decode(tree: PlotkinTree, llr, leaf_rule: str = HARD_MAP, ops=None) ->
                 return np.ones((batch, leaf.length))
             return np.zeros((batch, leaf.length), dtype=np.uint8)
         if leaf_rule == SOFT_MAP:
-            llrs, _, _ = softmap_forward(leaf, feat, ops)
+            llrs, _, _ = softmap_forward(leaf, feat)
             bits = (llrs < 0).astype(np.uint8)
             out_llrs[:, leaf.lo:leaf.hi] = llrs
-            message[:, leaf.lo:leaf.hi] = bits
-            labels.append(leaf.label())
-            slices.append((leaf.lo, leaf.hi))
-            records.append(bits)
-            p_one = stable_sigmoid(-llrs)
-            count_sigmoid(ops, batch * leaf.k)
-            count_soft_reencode(ops, leaf_decode_data(leaf.kind, leaf.m).generator, batch)
-            return soft_reencode(leaf, p_one)
-        if leaf.kind == REPETITION:
+            cw = soft_reencode(leaf, stable_sigmoid(-llrs))
+        elif leaf.kind == REPETITION:
             bits = majority_decode_repetition(feat)[:, None]
-            if ops is not None:
-                ops.count(adds=batch * (leaf.length - 1), comparisons=batch)
             cw = np.repeat(bits, leaf.length, axis=1)
         elif leaf.kind == FIRST_ORDER:
             cw, bits = fht_map_decode_rm1(feat, leaf.m)
-            if ops is not None:
-                n = leaf.length
-                ops.count(adds=batch * n * (n.bit_length() - 1),
-                          comparisons=batch * (2 * n - 1),
-                          muls=batch * n, )
-                ops.count(adds=batch * n)
         else:
-            cb = _leaf_codebook(leaf)
-            bits, cw = map_decode(cb, feat)
-            if ops is not None:
-                v, n = cb.codewords.shape
-                ops.count(muls=batch * v * n, adds=batch * v * (n - 1),
-                          comparisons=batch * (v - 1))
+            bits, cw = map_decode(_leaf_codebook(leaf), feat)
         message[:, leaf.lo:leaf.hi] = bits
         labels.append(leaf.label())
         slices.append((leaf.lo, leaf.hi))
@@ -422,24 +373,15 @@ def dumer_decode(tree: PlotkinTree, llr, leaf_rule: str = HARD_MAP, ops=None) ->
             return decode_leaf(node, feat)
         half = node.length // 2
         f1, f2 = feat[:, :half], feat[:, half:]
-        v_feat = lse(f1, f2)
-        count_lse(ops, batch * half)
-        v_cw = rec(node.v, v_feat)
+        v_cw = rec(node.v, lse(f1, f2))
         if v_cw.dtype.kind == "f":
             u_feat = f1 + v_cw * f2
         else:
             u_feat = f1 + (1.0 - 2.0 * v_cw) * f2
-        count_parity(ops, batch * half)
         u_cw = rec(node.u, u_feat)
         if u_cw.dtype.kind == "f":
-            out = np.concatenate([u_cw, u_cw * v_cw], axis=1)
-            if ops is not None:
-                ops.count(muls=batch * half)
-        else:
-            out = np.concatenate([u_cw, u_cw ^ v_cw], axis=1)
-            if ops is not None:
-                ops.count(adds=batch * half)
-        return out
+            return np.concatenate([u_cw, u_cw * v_cw], axis=1)
+        return np.concatenate([u_cw, u_cw ^ v_cw], axis=1)
 
     rec(tree.root, l2)
     if single:

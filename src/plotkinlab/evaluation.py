@@ -12,17 +12,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import bpsk
-from .channel import Channel, awgn, channel_llr, make_channel, snr_to_sigma, transmit
+from .channel import Channel, channel_llr, make_channel, snr_to_sigma, transmit
 from .codes import (
+    FIRST_ORDER,
+    FROZEN,
+    FULL_RATE,
+    REPETITION,
+    Leaf,
     PlotkinTree,
     PolarSpec,
     all_messages,
     build_polar_tree,
     build_rm_tree,
     enumerate_codebook,
+    leaf_generator,
     tree_encode,
 )
-from .decoding import HARD_MAP, SOFT_MAP, DecodeResult, dumer_decode, fht_map_decode_rm1, map_decode
+from .decoding import (
+    HARD_MAP,
+    SOFT_MAP,
+    DecodeResult,
+    dumer_decode,
+    fht_map_decode_rm1,
+    map_decode,
+    require_finite,
+)
 
 CHUNK_BLOCKS = 10000
 
@@ -51,28 +65,6 @@ REFERENCE_BER_TINYKO82 = {
     -4: (1.18919e-4, 7e-9),
     -3: (4.54054e-6, 1e-9),
 }
-
-
-@dataclass
-class OpCounter:
-    """Scalar operation counts by category; see decoding.py for the
-    convention (every scalar add/mul/comparison/exp-log is one operation)."""
-
-    adds: int = 0
-    muls: int = 0
-    comparisons: int = 0
-    exp_logs: int = 0
-
-    def count(self, adds: int = 0, muls: int = 0, comparisons: int = 0,
-              exp_logs: int = 0) -> None:
-        self.adds += adds
-        self.muls += muls
-        self.comparisons += comparisons
-        self.exp_logs += exp_logs
-
-    @property
-    def total(self) -> int:
-        return self.adds + self.muls + self.comparisons + self.exp_logs
 
 
 @dataclass
@@ -160,6 +152,7 @@ class CodeSystem:
     the decoder exposes per-leaf records, decode_full returns them for
     error attribution. Classical codes also expose decode_llrs, which
     decodes channel LLRs directly; KO decoders read raw symbols only.
+    decode_ops returns the scalar operations one decode spends per block.
     """
 
     name: str
@@ -171,18 +164,20 @@ class CodeSystem:
     decode_full: callable | None = None
     tree: PlotkinTree | None = None
     decode_llrs: callable | None = None
+    decode_ops: callable | None = None
 
 
 def _llr_decoder(tree: PlotkinTree, decoder: str):
-    """A classical decoder, named as in DECODERS, as
-    (llrs, ops=None) -> DecodeResult."""
+    """A classical decoder, named as in DECODERS, as llrs -> DecodeResult."""
     if decoder in ("dumer", "sc", "dumer-soft"):
         rule = SOFT_MAP if decoder == "dumer-soft" else HARD_MAP
-        return lambda llrs, ops=None: dumer_decode(tree, llrs, rule, ops)
+        return lambda llrs: dumer_decode(tree, llrs, rule)
     if decoder == "map":
         codebook = enumerate_codebook(tree)
-        return lambda llrs, ops=None: _plain_result(map_decode(codebook, llrs)[0])
-    return lambda llrs, ops=None: _plain_result(fht_map_decode_rm1(llrs, tree.m)[1])
+        decode = lambda llrs: map_decode(codebook, llrs)[0]
+    else:
+        decode = lambda llrs: fht_map_decode_rm1(llrs, tree.m)[1]
+    return lambda llrs: DecodeResult(decode(require_finite(llrs)), None, [], [], [])
 
 
 def _classical_system(name: str, tree: PlotkinTree, decoder: str) -> CodeSystem:
@@ -191,12 +186,13 @@ def _classical_system(name: str, tree: PlotkinTree, decoder: str) -> CodeSystem:
     def encode(msgs):
         return bpsk(tree_encode(tree, msgs))
 
-    def decode_full(y, sigma, ops=None):
-        return decode_llrs(channel_llr(y, sigma), ops)
+    def decode_full(y, sigma):
+        return decode_llrs(channel_llr(y, sigma))
 
     return CodeSystem(name, decoder, tree.k, tree.n, encode,
-                      lambda y, sigma, ops=None: decode_full(y, sigma, ops).message,
-                      decode_full, tree, decode_llrs)
+                      lambda y, sigma: decode_full(y, sigma).message,
+                      decode_full, tree, decode_llrs,
+                      lambda: _classical_decode_ops(tree, decoder))
 
 
 def rm_system(m: int, r: int, decoder: str = "dumer") -> CodeSystem:
@@ -217,18 +213,15 @@ def ko_system(model, binarized: bool = False) -> CodeSystem:
     def encode(msgs):
         return binarize_kob(model, msgs) if binarized else ko_encode(model, msgs)
 
-    def decode_full(y, sigma, ops=None):
-        _, result = ko_decode(model, y, ops)
+    def decode_full(y, sigma):
+        _, result = ko_decode(model, y)
         return result
 
     name = ("KO-b" if binarized else "KO") + model.tree.label[model.tree.label.index("("):]
     return CodeSystem(name, "ko", model.k, model.n, encode,
-                      lambda y, sigma, ops=None: decode_full(y, sigma, ops).message,
-                      decode_full, model.tree)
-
-
-def _plain_result(msg):
-    return DecodeResult(msg, None, [], [], [])
+                      lambda y, sigma: decode_full(y, sigma).message,
+                      decode_full, model.tree,
+                      decode_ops=lambda: tree_decode_ops(model.tree, soft=True, model=model))
 
 
 def random_guess_system(k: int, n: int, seed: int = 0) -> CodeSystem:
@@ -238,10 +231,10 @@ def random_guess_system(k: int, n: int, seed: int = 0) -> CodeSystem:
     def encode(msgs):
         return bpsk(msgs) if k == n else np.ones((msgs.shape[0], n))
 
-    def decode(y, sigma, ops=None):
+    def decode(y, sigma):
         return state.integers(0, 2, size=(y.shape[0], k), dtype=np.uint8)
 
-    return CodeSystem("random", "guess", k, n, encode, decode)
+    return CodeSystem("random", "guess", k, n, encode, decode, decode_ops=OpCounter)
 
 
 # ---------------------------------------------------------------------------
@@ -472,28 +465,125 @@ def gaussian_codebook(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     return np.sqrt(n) * cw / norms
 
 
-def nearest_neighbor_decode(codebook: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Index of the closest codeword per received row (MAP for equal-energy
-    codebooks over AWGN)."""
-    scores = np.atleast_2d(y) @ codebook.T
-    return np.argmax(scores, axis=1)
-
-
 # ---------------------------------------------------------------------------
 # Operation counting
 # ---------------------------------------------------------------------------
+#
+# Convention: every scalar add/XOR, multiply, comparison (including abs,
+# sign tests and argmax steps) and exp/log evaluation counts as one
+# operation; data movement and RNG are free. What a decode spends follows
+# from the tree's shape alone, so it is charged by one walk over the tree,
+# for a single block.
+
+@dataclass
+class OpCounter:
+    """Scalar operation counts by category, under the convention above."""
+
+    adds: int = 0
+    muls: int = 0
+    comparisons: int = 0
+    exp_logs: int = 0
+
+    def count(self, adds: int = 0, muls: int = 0, comparisons: int = 0,
+              exp_logs: int = 0) -> None:
+        self.adds += adds
+        self.muls += muls
+        self.comparisons += comparisons
+        self.exp_logs += exp_logs
+
+    @property
+    def total(self) -> int:
+        return self.adds + self.muls + self.comparisons + self.exp_logs
+
+
+def _hard_leaf_ops(ops: OpCounter, leaf: Leaf) -> None:
+    """MAP leaf: a repetition leaf sums its LLRs and tests the sign; a
+    first-order leaf runs FHT-MAP (n*m butterfly adds, the argmax of |t|,
+    n multiplies and n adds to rebuild the codeword); any other leaf
+    correlates with all 2^k codewords and takes the argmax."""
+    n = leaf.length
+    if leaf.kind == REPETITION:
+        ops.count(adds=n - 1, comparisons=1)
+    elif leaf.kind == FIRST_ORDER:
+        ops.count(adds=n * leaf.m + n, muls=n, comparisons=2 * n - 1)
+    else:
+        words = 1 << leaf.k
+        ops.count(muls=words * n, adds=words * (n - 1), comparisons=words - 1)
+
+
+def _soft_leaf_ops(ops: OpCounter, leaf: Leaf) -> None:
+    """Max-log leaf: correlations with its V codewords (by the FHT for
+    first-order leaves), per bit a max over each half of the V candidates
+    and their difference, the sigmoid, and the soft re-encode (one 1-2p per
+    bit and one product per extra message bit in each generator column)."""
+    n, k = leaf.length, leaf.k
+    if leaf.kind == FIRST_ORDER:
+        words = 2 * n
+        ops.count(adds=n * leaf.m, muls=n)
+    else:
+        words = 1 << k
+        ops.count(muls=words * n, adds=words * (n - 1))
+    ops.count(comparisons=k * (words - 2), adds=k)
+    ops.count(exp_logs=k, adds=k, muls=k)
+    extra = np.maximum(leaf_generator(leaf).sum(axis=0, dtype=np.int64) - 1, 0).sum()
+    ops.count(muls=k + int(extra), adds=k)
+
+
+def _block_ops(ops: OpCounter, block, coords: int) -> None:
+    """A dense block at each of coords coordinates: a fan_in -> fan_out
+    layer costs fan_in*fan_out multiplies plus as many adds, and each
+    hidden SELU unit 5 (one comparison, one exp, two multiplies, one add)."""
+    widths = block.widths
+    for fan_in, fan_out in zip(widths, widths[1:]):
+        ops.count(muls=coords * fan_in * fan_out, adds=coords * fan_in * fan_out)
+    hidden = coords * sum(widths[1:-1])
+    ops.count(comparisons=hidden, exp_logs=hidden, muls=2 * hidden, adds=hidden)
+
+
+def tree_decode_ops(tree: PlotkinTree, soft: bool, model=None) -> OpCounter:
+    """Operations of one recursive decode of a single block over the tree.
+
+    Each leaf charges its hard MAP or soft max-log rule. Each internal node
+    charges its LSE, parity-adjusted add and combine (XOR of hard bits or
+    product of soft signs); with a KO model, a neuralized node adds its
+    f_left and f_right blocks at every coordinate and two residual adds.
+    """
+    ops = OpCounter()
+    for leaf in tree.leaves():
+        if leaf.kind != FROZEN:
+            (_soft_leaf_ops if soft else _hard_leaf_ops)(ops, leaf)
+    for node in tree.internal_nodes():
+        half = node.length // 2
+        # LSE: a+b, a-b, two result adds; sign product and two negations;
+        # sign extraction, min and four abs tests; two exp and two log
+        ops.count(adds=4 * half, muls=3 * half, comparisons=7 * half, exp_logs=4 * half)
+        ops.count(adds=2 * half, muls=2 * half)
+        if soft:
+            ops.count(muls=half)
+        else:
+            ops.count(adds=half)
+        if model is not None and node.node_id in model.dec_left:
+            _block_ops(ops, model.dec_left[node.node_id], half)
+            _block_ops(ops, model.dec_right[node.node_id], half)
+            ops.count(adds=2 * half)
+    return ops
+
+
+def _classical_decode_ops(tree: PlotkinTree, decoder: str) -> OpCounter:
+    """Operations of a classical decoder named as in DECODERS; map and
+    fht-map decode the whole code as one full-rate or first-order leaf."""
+    if decoder not in ("map", "fht-map"):
+        return tree_decode_ops(tree, soft=decoder == "dumer-soft")
+    ops = OpCounter()
+    _hard_leaf_ops(ops, Leaf(FULL_RATE if decoder == "map" else FIRST_ORDER,
+                             tree.m, 0, tree.k))
+    return ops
+
 
 def count_decode_ops(system: CodeSystem, snr_db: float = 0.0, seed: int = 0) -> OpCounter:
-    """Scalar operations one decode call performs on a single noisy block.
+    """Scalar operations one decode call spends on a single block.
 
-    The decoders increment the counter alongside their arithmetic using the
-    documented convention (each scalar add/XOR, multiply, comparison and
-    exp/log evaluation is one operation; data movement and RNG are free).
+    The count follows from the code's tree and decoder alone, so it does
+    not depend on snr_db or seed; both are kept for existing callers.
     """
-    sigma = snr_to_sigma(snr_db)
-    rng = np.random.default_rng(seed)
-    msg = rng.integers(0, 2, size=(1, system.k), dtype=np.uint8)
-    y = transmit(system.encode(msg), awgn(sigma), rng)
-    ops = OpCounter()
-    system.decode(y, sigma, ops)
-    return ops
+    return system.decode_ops()

@@ -37,11 +37,9 @@ from .codes import (
 )
 from .decoding import (
     DecodeResult,
-    count_lse,
-    count_parity,
-    count_sigmoid,
-    count_soft_reencode,
     leaf_decode_data,
+    require_finite,
+    soft_reencode,
     softmap_forward,
 )
 
@@ -90,10 +88,6 @@ class KoModel:
             out.extend(self.dec_left[nid].parameters())
             out.extend(self.dec_right[nid].parameters())
         return out
-
-    def zero_all(self) -> None:
-        for p in self.encoder_params() + self.decoder_params():
-            p[...] = 0.0
 
 
 def tree_for_code(code: dict) -> PlotkinTree:
@@ -194,25 +188,11 @@ def binding_from_nodes(model: KoModel, nodes: list[Node]) -> Binding:
 
 
 def _apply_coordinatewise(block: DenseBlock, params: list[Node],
-                          features: list[Node], ops=None) -> Node:
-    """Run a d-input block over every coordinate of d equal-shape features.
-
-    Ops counted per coordinate: each fan_in -> fan_out layer costs
-    fan_in*fan_out multiplies plus fan_in*fan_out adds, and each hidden
-    SELU unit costs 5 (one comparison, one exp, two multiplies, one add).
-    """
+                          features: list[Node]) -> Node:
+    """Run a d-input block over every coordinate of d equal-shape features."""
     batch, width = features[0].shape
     packed = ad.reshape(ad.stack_last(features), (batch * width, len(features)))
     out = block.apply(packed, params)
-    if ops is not None:
-        rows = batch * width
-        widths = block.widths
-        for i in range(len(widths) - 1):
-            fan_in, fan_out = widths[i], widths[i + 1]
-            ops.count(muls=rows * fan_in * fan_out, adds=rows * fan_in * fan_out)
-            if i < len(widths) - 2:
-                ops.count(comparisons=rows * fan_out, exp_logs=rows * fan_out,
-                          muls=2 * rows * fan_out, adds=rows * fan_out)
     return ad.reshape(out, (batch, width))
 
 
@@ -220,13 +200,13 @@ def _apply_coordinatewise(block: DenseBlock, params: list[Node],
 # Fused tape operations for the decoder leaves
 # ---------------------------------------------------------------------------
 
-def softmap_node(leaf: Leaf, feat: Node, ops=None) -> Node:
+def softmap_node(leaf: Leaf, feat: Node) -> Node:
     """Max-log per-bit LLRs of a leaf as a fused differentiable op.
 
     The subgradient routes through the two selected codewords of each bit:
     d llr_i / d feat = signs[argmax0_i] - signs[argmax1_i].
     """
-    llrs, arg0, arg1 = softmap_forward(leaf, feat.value, ops)
+    llrs, arg0, arg1 = softmap_forward(leaf, feat.value)
     signs = leaf_decode_data(leaf.kind, leaf.m).signs
 
     def vjp(g):
@@ -242,11 +222,9 @@ def soft_reencode_node(leaf: Leaf, p_one: Node) -> Node:
     """Soft-sign re-encoding: position j is the product of 1-2p over the
     message bits in its generator column. Exact on hard bits."""
     gen = leaf_decode_data(leaf.kind, leaf.m).generator
-    t = p_one.value * -2.0 + 1.0
-    involved = gen[None, :, :] == 1
-    out = np.prod(np.where(involved, t[:, :, None], 1.0), axis=1)
 
     def vjp(g):
+        t = 1.0 - 2.0 * p_one.value
         dt = np.zeros_like(t)
         for i in range(gen.shape[0]):
             others = np.delete(gen, i, axis=0)
@@ -255,7 +233,7 @@ def soft_reencode_node(leaf: Leaf, p_one: Node) -> Node:
             dt[:, i] = np.sum(g * gen[i][None, :] * loo, axis=1)
         return (-2.0 * dt,)
 
-    return ad.custom_op(out, (p_one,), vjp)
+    return ad.custom_op(soft_reencode(leaf, p_one.value), (p_one,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +267,7 @@ def ko_encode_graph(model: KoModel, msg: np.ndarray, binding: Binding) -> Node:
         del enc  # break the closure's self-reference so refcounting frees the tape
 
 
-def ko_decode_graph(model: KoModel, y: Node, binding: Binding, ops=None):
+def ko_decode_graph(model: KoModel, y: Node, binding: Binding):
     """Differentiable decoder from raw received symbols.
 
     Returns (llrs, leaf_order) where llrs is the (batch, k) node with each
@@ -304,42 +282,31 @@ def ko_decode_graph(model: KoModel, y: Node, binding: Binding, ops=None):
         if isinstance(node, Leaf):
             if node.kind == FROZEN:
                 return ad.const(np.ones((batch, node.length)))
-            llr = softmap_node(node, feat, ops)
+            llr = softmap_node(node, feat)
             leaf_llrs[(node.lo, node.hi)] = llr
             leaf_order.append(node)
-            p_one = ad.sigmoid(ad.neg(llr))
-            count_sigmoid(ops, batch * node.k)
-            count_soft_reencode(ops, leaf_decode_data(node.kind, node.m).generator, batch)
-            return soft_reencode_node(node, p_one)
+            return soft_reencode_node(node, ad.sigmoid(ad.neg(llr)))
         half = node.length // 2
         y1 = ad.slice_cols(feat, 0, half)
         y2 = ad.slice_cols(feat, half, node.length)
         base = ad.lse_pair(y1, y2)
-        count_lse(ops, batch * half)
         neural = node.node_id in model.dec_left
         if neural:
             r = _apply_coordinatewise(model.dec_left[node.node_id],
-                                      binding.dec_left[node.node_id], [y1, y2], ops)
+                                      binding.dec_left[node.node_id], [y1, y2])
             left = ad.add(r, base)
-            if ops is not None:
-                ops.count(adds=batch * half)
         else:
             left = base
         v_soft = dec(node.v, left)
         base_r = ad.add(y1, ad.mul(v_soft, y2))
-        count_parity(ops, batch * half)
         if neural:
             r = _apply_coordinatewise(model.dec_right[node.node_id],
                                       binding.dec_right[node.node_id],
-                                      [y1, y2, left, v_soft], ops)
+                                      [y1, y2, left, v_soft])
             right = ad.add(r, base_r)
-            if ops is not None:
-                ops.count(adds=batch * half)
         else:
             right = base_r
         u_soft = dec(node.u, right)
-        if ops is not None:
-            ops.count(muls=batch * half)
         return ad.concat_cols([u_soft, ad.mul(u_soft, v_soft)])
 
     try:
@@ -372,20 +339,20 @@ def binarize_kob(model: KoModel, msg) -> np.ndarray:
     return np.where(x < 0, -1.0, 1.0)
 
 
-def ko_decode(model: KoModel, y, ops=None) -> tuple[np.ndarray, DecodeResult]:
+def ko_decode(model: KoModel, y) -> tuple[np.ndarray, DecodeResult]:
     """Decode raw received symbols; returns (bit LLRs, DecodeResult).
 
     Hard decisions set bit j to 1 iff its LLR is negative. Leaf records are
     listed in decode order for block-error attribution. Runs ko_decode_graph
     without recording a tape.
     """
-    y = np.asarray(y, dtype=np.float64)
+    y = require_finite(y)
     single = y.ndim == 1
     y2 = np.atleast_2d(y)
     if y2.shape[1] != model.n:
         raise ValueError(f"received length {y2.shape[1]} != n={model.n}")
     with ad.no_tape():
-        llr_node, leaf_order = ko_decode_graph(model, ad.const(y2), bind(model), ops)
+        llr_node, leaf_order = ko_decode_graph(model, ad.const(y2), bind(model))
     llrs = llr_node.value
     message = (llrs < 0).astype(np.uint8)
     result = DecodeResult(

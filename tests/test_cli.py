@@ -237,6 +237,15 @@ class TestAnalyzeCommands:
         doc = json.loads(capsys.readouterr().out)
         assert doc["total"] == doc["adds"] + doc["muls"] + doc["comparisons"] + doc["exp_logs"]
 
+    @pytest.mark.parametrize("code,total", [
+        (["rm", "--m", "5", "--r", "1", "--decoder", "map"], 4095),
+        (["rm", "--m", "5", "--r", "1", "--decoder", "fht-map"], 287),
+        (["polar", "--n", "64", "--k", "7", "--decoder", "map"], 16383),
+    ], ids=["rm51-map", "rm51-fht-map", "polar64-map"])
+    def test_opcount_whole_code_map_decoders(self, capsys, code, total):
+        assert run(["analyze", "opcount", "--code", *code, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["total"] == total
+
 
 def data_rows(path):
     return [line for line in path.read_text().splitlines()
@@ -459,6 +468,23 @@ class TestCodeSizeLimit:
         status, err = run_captured([str(out) if a == "OUT" else a for a in argv])
         assert status == 2
         assert_clean_failure(status, err, out)
+
+    @pytest.mark.parametrize("code", [["rm", "--m", "6", "--r", "5"],
+                                      ["polar", "--n", "32", "--k", "32"]],
+                             ids=["rm6_5", "polar32_32"])
+    def test_oversized_full_rate_leaf(self, tmp_path, code):
+        # the RM(5,5) leaf has 32 message bits, beyond any codebook; the
+        # code still encodes and describes itself, but does not decode
+        out = tmp_path / "sim.csv"
+        status, err = run_captured(["simulate", "--code", *code, "--snr", "0",
+                                    "--blocks", "10", "--out", str(out)])
+        assert_clean_failure(status, err, out)
+        assert "RM(5,5)" in err
+        bits = tmp_path / "bits.txt"
+        bits.write_text("1" * (63 if code[0] == "rm" else 32) + "\n")
+        assert run(["codes", "info", "--code", *code]) == 0
+        assert run(["encode", "--code", *code, "--in", str(bits),
+                    "--out", str(tmp_path / "sym.csv")]) == 0
 
     def test_oversized_checkpoint_exits_1(self, tmp_path):
         from plotkinlab.codes import build_rm_tree

@@ -307,6 +307,12 @@ class TestDumerDecode:
         with pytest.raises(ValueError):
             dumer_decode(build_rm_tree(3, 1), np.zeros(4))
 
+    @pytest.mark.parametrize("rule", ["hard", "soft"])
+    def test_oversized_full_rate_leaf_is_named(self, rule):
+        # RM(6,5) bottoms out at RM(5,5), a 32-bit leaf with no codebook
+        with pytest.raises(ValueError, match=r"RM\(5,5\)"):
+            dumer_decode(build_rm_tree(6, 5), np.ones(64), rule)
+
     def test_hard_and_soft_agree_on_confident_inputs(self):
         tree = build_rm_tree(4, 2)
         msgs = all_messages(tree.k)[:64]

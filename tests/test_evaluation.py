@@ -4,13 +4,13 @@ import pytest
 from plotkinlab import evaluation
 from plotkinlab.codes import build_rm_tree, enumerate_codebook, polar_spec
 from plotkinlab.evaluation import (
+    DECODERS,
     RANDOM_PAIRS,
     OpCounter,
     bler_decomposition,
     count_decode_ops,
     gaussian_codebook,
     ko_system,
-    nearest_neighbor_decode,
     pairwise_distance_histogram,
     polar_system,
     random_guess_system,
@@ -18,6 +18,7 @@ from plotkinlab.evaluation import (
     rm_system,
     simulate_error_rates,
     standard_error,
+    tree_decode_ops,
 )
 from plotkinlab.ko import build_ko_model
 
@@ -208,11 +209,6 @@ class TestGaussianCodebook:
         assert cb.shape == (128, 64)
         assert np.abs(np.sum(cb**2, axis=1) - 64).max() <= 1e-9 * 64
 
-    def test_nearest_neighbor_recovers_noiseless(self):
-        cb = gaussian_codebook(16, 1, np.random.default_rng(1))
-        assert nearest_neighbor_decode(cb, cb[1]).tolist() == [1]
-        assert nearest_neighbor_decode(cb, cb[0]).tolist() == [0]
-
     def test_mean_pairwise_distance_near_sqrt_2n(self):
         cb = gaussian_codebook(64, 7, np.random.default_rng(2))
 
@@ -231,6 +227,8 @@ class TestOpCounting:
         ops.count(muls=2, exp_logs=4)
         assert (ops.adds, ops.muls, ops.comparisons, ops.exp_logs) == (3, 2, 1, 4)
         assert ops.total == 10
+        # random guessing is RNG only, which the convention leaves free
+        assert count_decode_ops(random_guess_system(k=4, n=8)).total == 0
 
     def test_repetition_majority_convention(self):
         # a length-4 repetition decode is 3 adds and 1 sign comparison
@@ -242,14 +240,52 @@ class TestOpCounting:
     def test_fht_add_count_convention(self):
         # n log2(n) butterfly additions: 256 * 8 = 2048 for a length-256
         # first-order leaf transform
-        from plotkinlab.codes import FIRST_ORDER, Leaf
-        from plotkinlab.decoding import softmap_forward
+        from plotkinlab.codes import FIRST_ORDER, Leaf, PlotkinTree
 
-        ops = OpCounter()
         leaf = Leaf(FIRST_ORDER, 8, 0, 9)
-        softmap_forward(leaf, np.random.default_rng(0).standard_normal((1, 256)), ops)
-        # fht contributes 2048 adds; the per-bit subtractions add k = 9
-        assert ops.adds == 2048 + 9
+        ops = tree_decode_ops(PlotkinTree(leaf, 8, 256, 9, "RM(8,1)"), soft=True)
+        # fht contributes 2048 adds; the per-bit max-log subtractions,
+        # sigmoids and soft signs 1-2p add k = 9 each
+        assert ops.adds == 2048 + 3 * 9
+
+    @pytest.mark.parametrize("system,want", [
+        # V = 2^k codeword correlations: V*n muls, V*(n-1) adds, V-1 comparisons
+        (lambda: rm_system(5, 1, "map"), (64 * 31, 64 * 32, 63, 0)),
+        (lambda: polar_system(polar_spec(64, 7), "map"), (128 * 63, 128 * 64, 127, 0)),
+        # the hard first-order leaf rule at m = 5
+        (lambda: rm_system(5, 1, "fht-map"), (32 * 5 + 32, 32, 63, 0)),
+    ], ids=["rm51_map", "polar64_map", "rm51_fht_map"])
+    def test_whole_code_map_decoders(self, system, want):
+        ops = count_decode_ops(system())
+        assert (ops.adds, ops.muls, ops.comparisons, ops.exp_logs) == want
+
+    # (adds, muls, comparisons, exp_logs, total) for one block, README
+    # "Operation counting" convention
+    PINNED = {
+        "rm82_dumer": (3600, 1576, 2277, 1008, 8461),
+        "rm82_dumer_soft": (3207, 2675, 5330, 1045, 12257),
+        "polar64_sc": (473, 320, 455, 256, 1504),
+        "ko82_standard": (1148799, 1196147, 53714, 49429, 2448089),
+        "ko82_tiny": (13791, 14771, 7346, 3061, 38969),
+    }
+
+    @staticmethod
+    def _pinned_system(name):
+        if name.startswith("ko82"):
+            model = build_ko_model(build_rm_tree(8, 2), {"family": "rm", "m": 8, "r": 2},
+                                   name.split("_")[1], seed=14)
+            return ko_system(model)
+        if name == "polar64_sc":
+            return polar_system(polar_spec(64, 7))
+        return rm_system(8, 2, "dumer-soft" if name.endswith("soft") else "dumer")
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned_counts_by_category(self, name):
+        system = self._pinned_system(name)
+        for snr_db, seed in ((0.0, 0), (-5.0, 1), (7.0, 99)):
+            ops = count_decode_ops(system, snr_db=snr_db, seed=seed)
+            got = (ops.adds, ops.muls, ops.comparisons, ops.exp_logs, ops.total)
+            assert got == self.PINNED[name], (snr_db, seed)
 
     def test_monotone_during_decode(self):
         system = rm_system(4, 2)
@@ -285,3 +321,27 @@ class TestDecoderOrdering:
                                         [snr], **kwargs)
             slack = 3 * float(np.hypot(d.bler_se, m.bler_se))
             assert m.bler <= d.bler + slack
+
+
+class TestNonFiniteInput:
+    @staticmethod
+    def _system(family, decoder):
+        if family == "rm":
+            return rm_system(3, 1, decoder)
+        if family == "polar":
+            return polar_system(polar_spec(16, 5), decoder)
+        return ko_system(build_ko_model(build_rm_tree(3, 1), {"family": "rm", "m": 3, "r": 1},
+                                        "tiny", seed=2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("family,decoder",
+                             [(f, d) for f, names in DECODERS.items() for d in names])
+    def test_every_decoder_rejects(self, family, decoder, bad):
+        system = self._system(family, decoder)
+        y = np.ones((3, system.n))
+        y[1, 2] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            system.decode(y, 0.8)
+        if system.decode_llrs is not None:
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                system.decode_llrs(np.full(system.n, bad))

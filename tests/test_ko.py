@@ -138,6 +138,10 @@ class TestKoDecode:
         with pytest.raises(ValueError):
             ko_decode(make_model(3, 1), np.zeros(4))
 
+    def test_oversized_full_rate_leaf_is_named(self):
+        with pytest.raises(ValueError, match=r"RM\(5,5\)"):
+            ko_decode(make_model(6, 5), np.ones(64))
+
     def test_end_to_end_gradients_match_finite_differences(self):
         model = make_model(3, 1, "tiny", seed=11)
         rng = np.random.default_rng(12)
