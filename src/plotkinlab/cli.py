@@ -159,20 +159,30 @@ def write_real_file(path: str, data: np.ndarray, fmt: str, header: str) -> None:
 # Code selection shared by several subcommands
 # ---------------------------------------------------------------------------
 
-def _load_system(args):
+def _code_spec(args):
+    """The rm_spec or polar_spec that --code rm/polar and its flags name."""
     if args.code == "rm":
         _require(args.m is not None and args.r is not None, "--code rm needs --m and --r")
-        return _from_flags(rm_system, args.m, args.r, args.decoder or "dumer")
+        return _from_flags(rm_spec, args.m, args.r)
     if args.code == "polar":
         _require(args.n is not None and args.k is not None, "--code polar needs --n and --k")
-        spec = _from_flags(polar_spec, args.n, args.k, args.design_z0)
-        return polar_system(spec, args.decoder or "sc")
-    if args.code == "ko":
-        _require(args.checkpoint is not None, "--code ko needs --checkpoint")
-        check_decoder("ko", args.decoder)
-        model = load_checkpoint(args.checkpoint)
-        return ko_system(model, binarized=args.binarized)
+        return _from_flags(polar_spec, args.n, args.k, args.design_z0)
     raise UsageError(f"unknown code {args.code!r}")
+
+
+def _load_model(args):
+    _require(args.checkpoint is not None, "--code ko needs --checkpoint")
+    return load_checkpoint(args.checkpoint)
+
+
+def _load_system(args):
+    if args.code == "ko":
+        check_decoder("ko", args.decoder)
+        return ko_system(_load_model(args), binarized=args.binarized)
+    spec = _code_spec(args)
+    if args.code == "rm":
+        return rm_system(spec.m, spec.r, args.decoder or "dumer")
+    return polar_system(spec, args.decoder or "sc")
 
 
 def _require(cond: bool, message: str) -> None:
@@ -194,36 +204,22 @@ def _from_flags(build, *params):
 # ---------------------------------------------------------------------------
 
 def cmd_codes_info(args, argv) -> int:
-    if args.code == "rm":
-        _require(args.m is not None and args.r is not None, "--code rm needs --m and --r")
-        spec = _from_flags(rm_spec, args.m, args.r)
-        tree = build_rm_tree(args.m, args.r)
-        info = {
-            "code": f"RM({args.m},{args.r})", "n": spec.n, "k": spec.k,
-            "rate": spec.rate, "min_distance": spec.min_distance,
-            "tree": tree.to_dict(),
-        }
-    elif args.code == "polar":
-        _require(args.n is not None and args.k is not None, "--code polar needs --n and --k")
-        pspec = _from_flags(polar_spec, args.n, args.k, args.design_z0)
-        tree = build_polar_tree(pspec)
-        info = {
-            "code": f"Polar({args.n},{args.k})", "n": pspec.n, "k": pspec.k,
-            "rate": pspec.k / pspec.n, "design_z0": pspec.design_z0,
-            "active_set": list(pspec.active_set), "tree": tree.to_dict(),
-        }
-    elif args.code == "ko":
-        _require(args.checkpoint is not None, "--code ko needs --checkpoint")
-        model = load_checkpoint(args.checkpoint)
-        info = {
-            "code": model.tree.label, "n": model.n, "k": model.k,
-            "rate": model.k / model.n, "profile": model.profile,
-            "neuralize": model.neuralize,
-            "parameters": sum(p.size for p in model.encoder_params() + model.decoder_params()),
-            "tree": model.tree.to_dict(),
-        }
+    if args.code == "ko":
+        model = _load_model(args)
+        tree = model.tree
+        extra = {"profile": model.profile, "neuralize": model.neuralize,
+                 "parameters": sum(p.size for p in model.encoder_params()
+                                   + model.decoder_params())}
+    elif args.code == "rm":
+        spec = _code_spec(args)
+        tree = build_rm_tree(spec.m, spec.r)
+        extra = {"min_distance": spec.min_distance}
     else:
-        raise UsageError(f"unknown code {args.code!r}")
+        spec = _code_spec(args)
+        tree = build_polar_tree(spec)
+        extra = {"design_z0": spec.design_z0, "active_set": list(spec.active_set)}
+    info = {"code": tree.label, "n": tree.n, "k": tree.k, "rate": tree.k / tree.n,
+            "tree": tree.to_dict(), **extra}
     if args.json:
         print(json.dumps(info, indent=2, sort_keys=True))
         return 0
@@ -234,15 +230,8 @@ def cmd_codes_info(args, argv) -> int:
     print()
     if "active_set" in info:
         print(f"active set (1-indexed): {info['active_set']}")
-    leaves = _leaf_labels(info["tree"]["root"])
-    print("leaves (decode order): " + ", ".join(leaves))
+    print("leaves (decode order): " + ", ".join(lf.label() for lf in tree.leaves()))
     return 0
-
-
-def _leaf_labels(node: dict) -> list[str]:
-    if "leaf" in node:
-        return [node["label"]]
-    return _leaf_labels(node["v"]) + _leaf_labels(node["u"])
 
 
 def cmd_encode(args, argv) -> int:
@@ -259,7 +248,7 @@ def cmd_decode(args, argv) -> int:
     if system.decode_llrs is None:
         bits = system.decode(data, None)
     else:
-        bits = system.decode_llrs(data).message
+        bits = system.decode_llrs(data)
     write_bits_file(args.outfile, bits, provenance(argv))
     return 0
 

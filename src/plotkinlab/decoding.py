@@ -39,6 +39,13 @@ SOFT_MAP = "soft"
 # takes 1 MB, so its butterflies run in cache.
 FHT_TILE_ROWS = 1024
 
+# dumer_decode clips its input LLRs to +/-LLR_LIMIT. Finite LLRs near the
+# float limit (1.8e308) would overflow to inf in the parity adds and leaf
+# correlations and decode to wrong bits. Each parity add at most doubles a
+# feature and a leaf correlation sums 2^(m-depth) of them, so no value
+# exceeds 2^(m+1) times the input bound, with m <= MAX_TREE_M = 10.
+LLR_LIMIT = 1e300
+
 
 def require_finite(llr) -> np.ndarray:
     """llr as a float64 array; ValueError if it holds a NaN or an infinity,
@@ -306,18 +313,15 @@ def soft_reencode(leaf: Leaf, soft_bits) -> np.ndarray:
 
 @dataclass
 class DecodeResult:
-    """Decoded message plus per-leaf records in decode order.
+    """Decoded message bits; llrs is populated by the soft leaf rule only.
 
-    leaf_bits[i] holds the hard sub-message decoded at the i-th non-frozen
-    leaf, which lets error analyses attribute a block error to the first
-    leaf that failed. llrs is populated by the soft leaf rule only.
+    The leaves decode in the order tree.message_leaves() lists them, so
+    the sub-message of the i-th leaf to decode is message[..., lo:hi] of
+    that leaf.
     """
 
     message: np.ndarray
     llrs: np.ndarray | None
-    leaf_labels: list[str]
-    leaf_slices: list[tuple[int, int]]
-    leaf_bits: list[np.ndarray]
 
 
 def dumer_decode(tree: PlotkinTree, llr, leaf_rule: str = HARD_MAP) -> DecodeResult:
@@ -329,9 +333,13 @@ def dumer_decode(tree: PlotkinTree, llr, leaf_rule: str = HARD_MAP) -> DecodeRes
     re-encode hard bits. With leaf_rule "soft" the leaves emit max-log
     LLRs, hard decisions are their signs, and the re-encoded codeword is
     the soft-sign lift of the sigmoid bit probabilities (the classical
-    skeleton of the KO decoder).
+    skeleton of the KO decoder). Input LLRs are clipped to +/-LLR_LIMIT.
     """
-    llr = require_finite(llr)
+    llr = np.asarray(llr, dtype=np.float64)
+    # min and max need no new array, unlike clipping every input; NaN and
+    # inf fail the range test too, and require_finite then rejects them
+    if not -LLR_LIMIT <= llr.min(initial=0.0) <= llr.max(initial=0.0) <= LLR_LIMIT:
+        llr = np.clip(require_finite(llr), -LLR_LIMIT, LLR_LIMIT)
     single = llr.ndim == 1
     l2 = np.atleast_2d(llr)
     if l2.shape[1] != tree.n:
@@ -341,9 +349,6 @@ def dumer_decode(tree: PlotkinTree, llr, leaf_rule: str = HARD_MAP) -> DecodeRes
     batch = l2.shape[0]
     message = np.zeros((batch, tree.k), dtype=np.uint8)
     out_llrs = np.zeros((batch, tree.k), dtype=np.float64) if leaf_rule == SOFT_MAP else None
-    labels: list[str] = []
-    slices: list[tuple[int, int]] = []
-    records: list[np.ndarray] = []
 
     def decode_leaf(leaf: Leaf, feat: np.ndarray) -> np.ndarray:
         if leaf.kind == FROZEN:
@@ -363,9 +368,6 @@ def dumer_decode(tree: PlotkinTree, llr, leaf_rule: str = HARD_MAP) -> DecodeRes
         else:
             bits, cw = map_decode(_leaf_codebook(leaf), feat)
         message[:, leaf.lo:leaf.hi] = bits
-        labels.append(leaf.label())
-        slices.append((leaf.lo, leaf.hi))
-        records.append(bits)
         return cw
 
     def rec(node, feat: np.ndarray) -> np.ndarray:
@@ -385,9 +387,8 @@ def dumer_decode(tree: PlotkinTree, llr, leaf_rule: str = HARD_MAP) -> DecodeRes
 
     rec(tree.root, l2)
     if single:
-        return DecodeResult(message[0], None if out_llrs is None else out_llrs[0],
-                            labels, slices, [r[0] for r in records])
-    return DecodeResult(message, out_llrs, labels, slices, records)
+        return DecodeResult(message[0], None if out_llrs is None else out_llrs[0])
+    return DecodeResult(message, out_llrs)
 
 
 @lru_cache(maxsize=None)

@@ -31,7 +31,6 @@ from .codes import (
 from .decoding import (
     HARD_MAP,
     SOFT_MAP,
-    DecodeResult,
     dumer_decode,
     fht_map_decode_rm1,
     map_decode,
@@ -148,10 +147,11 @@ class CodeSystem:
     """Bundle of batch encode/decode callables plus identifying metadata.
 
     encode maps (B, k) bits to (B, n) symbols of energy n; decode maps
-    received (B, n) symbols and the noise sigma to (B, k) hard bits. When
-    the decoder exposes per-leaf records, decode_full returns them for
-    error attribution. Classical codes also expose decode_llrs, which
-    decodes channel LLRs directly; KO decoders read raw symbols only.
+    received (B, n) symbols and the noise sigma to (B, k) hard bits.
+    tree is set when the decoder goes leaf by leaf over it, in the order
+    tree.message_leaves() lists them; decoders that take the whole code at
+    once leave it None. Classical codes also expose decode_llrs, which
+    maps channel LLRs to hard bits; KO decoders read raw symbols only.
     decode_ops returns the scalar operations one decode spends per block.
     """
 
@@ -161,23 +161,24 @@ class CodeSystem:
     n: int
     encode: callable
     decode: callable
-    decode_full: callable | None = None
     tree: PlotkinTree | None = None
     decode_llrs: callable | None = None
     decode_ops: callable | None = None
 
 
+# Decoders that go leaf by leaf over the code's tree.
+LEAF_DECODERS = ("dumer", "dumer-soft", "sc", "ko")
+
+
 def _llr_decoder(tree: PlotkinTree, decoder: str):
-    """A classical decoder, named as in DECODERS, as llrs -> DecodeResult."""
-    if decoder in ("dumer", "sc", "dumer-soft"):
+    """A classical decoder, named as in DECODERS, as llrs -> message bits."""
+    if decoder in LEAF_DECODERS:
         rule = SOFT_MAP if decoder == "dumer-soft" else HARD_MAP
-        return lambda llrs: dumer_decode(tree, llrs, rule)
+        return lambda llrs: dumer_decode(tree, llrs, rule).message
     if decoder == "map":
         codebook = enumerate_codebook(tree)
-        decode = lambda llrs: map_decode(codebook, llrs)[0]
-    else:
-        decode = lambda llrs: fht_map_decode_rm1(llrs, tree.m)[1]
-    return lambda llrs: DecodeResult(decode(require_finite(llrs)), None, [], [], [])
+        return lambda llrs: map_decode(codebook, require_finite(llrs))[0]
+    return lambda llrs: fht_map_decode_rm1(require_finite(llrs), tree.m)[1]
 
 
 def _classical_system(name: str, tree: PlotkinTree, decoder: str) -> CodeSystem:
@@ -186,12 +187,9 @@ def _classical_system(name: str, tree: PlotkinTree, decoder: str) -> CodeSystem:
     def encode(msgs):
         return bpsk(tree_encode(tree, msgs))
 
-    def decode_full(y, sigma):
-        return decode_llrs(channel_llr(y, sigma))
-
     return CodeSystem(name, decoder, tree.k, tree.n, encode,
-                      lambda y, sigma: decode_full(y, sigma).message,
-                      decode_full, tree, decode_llrs,
+                      lambda y, sigma: decode_llrs(channel_llr(y, sigma)),
+                      tree if decoder in LEAF_DECODERS else None, decode_llrs,
                       lambda: _classical_decode_ops(tree, decoder))
 
 
@@ -213,14 +211,9 @@ def ko_system(model, binarized: bool = False) -> CodeSystem:
     def encode(msgs):
         return binarize_kob(model, msgs) if binarized else ko_encode(model, msgs)
 
-    def decode_full(y, sigma):
-        _, result = ko_decode(model, y)
-        return result
-
     name = ("KO-b" if binarized else "KO") + model.tree.label[model.tree.label.index("("):]
     return CodeSystem(name, "ko", model.k, model.n, encode,
-                      lambda y, sigma: decode_full(y, sigma).message,
-                      decode_full, model.tree,
+                      lambda y, sigma: ko_decode(model, y)[1].message, model.tree,
                       decode_ops=lambda: tree_decode_ops(model.tree, soft=True, model=model))
 
 
@@ -345,41 +338,32 @@ def bler_decomposition(system: CodeSystem, channel_kind: str, snr_db: float,
                        ) -> tuple[list[LeafContribution], float]:
     """Split BLER into per-leaf first-error contributions.
 
-    A block counts toward leaf i when leaf i is the first (in decode order)
-    whose sub-message was decoded wrongly; the contributions sum to the
-    overall BLER on the same blocks by construction.
+    A block counts toward leaf i when leaf i is the first in decode order,
+    system.tree.message_leaves(), whose sub-message was decoded wrongly;
+    the contributions sum to the overall BLER on the same blocks by
+    construction. UnsupportedDecoder if the decoder does not go leaf by
+    leaf (system.tree is None).
     """
-    if system.decode_full is None or system.tree is None:
-        raise ValueError("decoder does not expose per-leaf records")
+    if system.tree is None:
+        raise UnsupportedDecoder(f"bler-decomposition needs a decoder that goes leaf by "
+                                 f"leaf ({', '.join(LEAF_DECODERS)}), not "
+                                 f"{system.decoder_name!r}")
+    leaves = system.tree.message_leaves()
     sigma = snr_to_sigma(snr_db)
     ch = make_channel(channel_kind, sigma, burst_prob, burst_sigma_mult)
-    labels = None
-    counts = None
-    done = 0
-    chunk_index = 0
+    counts = np.zeros(len(leaves), dtype=np.int64)
     total_block_errors = 0
-    while done < blocks:
-        b = min(CHUNK_BLOCKS, blocks - done)
-        msgs, y = _chunk_blocks(system, ch, seed, 0, chunk_index, b)
-        result = system.decode_full(y, sigma)
-        if labels is None:
-            labels = result.leaf_labels
-            counts = np.zeros(len(labels), dtype=np.int64)
-        wrong = np.stack([
-            (result.leaf_bits[i] != msgs[:, lo:hi]).any(axis=1)
-            for i, (lo, hi) in enumerate(result.leaf_slices)
-        ], axis=1)
+    for chunk_index, done in enumerate(range(0, blocks, CHUNK_BLOCKS)):
+        msgs, y = _chunk_blocks(system, ch, seed, 0, chunk_index,
+                                min(CHUNK_BLOCKS, blocks - done))
+        decoded = system.decode(y, sigma)
+        wrong = np.stack([(decoded[:, lf.lo:lf.hi] != msgs[:, lf.lo:lf.hi]).any(axis=1)
+                          for lf in leaves], axis=1)
         any_wrong = wrong.any(axis=1)
         total_block_errors += int(any_wrong.sum())
-        first = np.argmax(wrong, axis=1)
-        for i in range(len(labels)):
-            counts[i] += int(np.sum(any_wrong & (first == i)))
-        done += b
-        chunk_index += 1
-    bler = total_block_errors / blocks
-    contribs = [LeafContribution(lab, int(c), int(c) / blocks)
-                for lab, c in zip(labels, counts)]
-    return contribs, bler
+        counts += np.bincount(np.argmax(wrong[any_wrong], axis=1), minlength=len(leaves))
+    return ([LeafContribution(lf.label(), int(c), int(c) / blocks)
+             for lf, c in zip(leaves, counts)], total_block_errors / blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -270,13 +270,12 @@ def ko_encode_graph(model: KoModel, msg: np.ndarray, binding: Binding) -> Node:
 def ko_decode_graph(model: KoModel, y: Node, binding: Binding):
     """Differentiable decoder from raw received symbols.
 
-    Returns (llrs, leaf_order) where llrs is the (batch, k) node with each
-    leaf's LLR block placed at its message slice, and leaf_order lists the
-    non-frozen leaves in decode order.
+    Returns (llrs, leaves) where llrs is the (batch, k) node with each
+    leaf's LLR block placed at its message slice, and leaves is
+    model.tree.message_leaves(), the non-frozen leaves in decode order.
     """
     batch = y.shape[0]
     leaf_llrs: dict[tuple[int, int], Node] = {}
-    leaf_order: list[Leaf] = []
 
     def dec(node, feat: Node) -> Node:
         if isinstance(node, Leaf):
@@ -284,7 +283,6 @@ def ko_decode_graph(model: KoModel, y: Node, binding: Binding):
                 return ad.const(np.ones((batch, node.length)))
             llr = softmap_node(node, feat)
             leaf_llrs[(node.lo, node.hi)] = llr
-            leaf_order.append(node)
             return soft_reencode_node(node, ad.sigmoid(ad.neg(llr)))
         half = node.length // 2
         y1 = ad.slice_cols(feat, 0, half)
@@ -315,7 +313,7 @@ def ko_decode_graph(model: KoModel, y: Node, binding: Binding):
         del dec  # break the closure's self-reference so refcounting frees the tape
     ordered = sorted(leaf_llrs.items())
     llrs = ad.concat_cols([nd for _, nd in ordered])
-    return llrs, leaf_order
+    return llrs, model.tree.message_leaves()
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +340,8 @@ def binarize_kob(model: KoModel, msg) -> np.ndarray:
 def ko_decode(model: KoModel, y) -> tuple[np.ndarray, DecodeResult]:
     """Decode raw received symbols; returns (bit LLRs, DecodeResult).
 
-    Hard decisions set bit j to 1 iff its LLR is negative. Leaf records are
-    listed in decode order for block-error attribution. Runs ko_decode_graph
-    without recording a tape.
+    Hard decisions set bit j to 1 iff its LLR is negative. Runs
+    ko_decode_graph without recording a tape.
     """
     y = require_finite(y)
     single = y.ndim == 1
@@ -352,18 +349,9 @@ def ko_decode(model: KoModel, y) -> tuple[np.ndarray, DecodeResult]:
     if y2.shape[1] != model.n:
         raise ValueError(f"received length {y2.shape[1]} != n={model.n}")
     with ad.no_tape():
-        llr_node, leaf_order = ko_decode_graph(model, ad.const(y2), bind(model))
-    llrs = llr_node.value
-    message = (llrs < 0).astype(np.uint8)
-    result = DecodeResult(
-        message[0] if single else message,
-        llrs[0] if single else llrs,
-        [lf.label() for lf in leaf_order],
-        [(lf.lo, lf.hi) for lf in leaf_order],
-        [message[0, lf.lo:lf.hi] if single else message[:, lf.lo:lf.hi]
-         for lf in leaf_order],
-    )
-    return (llrs[0] if single else llrs), result
+        llr_node, _ = ko_decode_graph(model, ad.const(y2), bind(model))
+    llrs = llr_node.value[0] if single else llr_node.value
+    return llrs, DecodeResult((llrs < 0).astype(np.uint8), llrs)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamState, adam_step, backward, grad_or_zero
-from .channel import Channel, awgn, draw_noise, make_channel, snr_to_sigma
+from .channel import Channel, draw_noise, make_channel, snr_to_sigma
 from .codes import all_messages
 from .decoding import max_log_llrs
 from .ko import Binding, KoModel, bind, ko_decode_graph, ko_encode_graph
@@ -120,6 +120,17 @@ def _run_step(model: KoModel, msgs: np.ndarray, ch: Channel,
     return ad.bce_with_logits(llrs, msgs)
 
 
+def _softmap_step(model: KoModel, msgs: np.ndarray, ch: Channel,
+                  rng: np.random.Generator, binding: Binding) -> ad.Node:
+    """_run_step with the exact max-log decoder over the full codebook in
+    place of the neural decoder."""
+    codebook = ko_encode_graph(model, all_messages(model.k), binding)
+    x = _gather_rows(codebook, _message_indices(msgs))
+    y = _transmit_node(x, ch, rng)
+    scores = ad.matmul(y, _transpose(codebook))
+    return ad.bce_with_logits(softmap_codebook_llrs(scores, model.k), msgs)
+
+
 def _grad_norm(nodes) -> float:
     total = 0.0
     for nd in nodes:
@@ -140,33 +151,38 @@ def _clip_grads(grads: list[np.ndarray], clip_norm: float | None) -> list[np.nda
 
 def train(model: KoModel, cfg: TrainConfig,
           channel_kind: str = "awgn") -> tuple[KoModel, TrainLog]:
-    """Alternating training over a simulated channel; mutates and returns
-    the model.
+    """Training over a simulated channel; mutates and returns the model.
 
-    Per epoch: cfg.dec_steps Adam updates of only the decoder blocks at
-    snr_dec, then cfg.enc_steps updates of only the encoder blocks at
-    snr_enc. The inactive parameter group is bound as constants, so it is
-    bit-identical before and after each phase.
+    Per epoch in alternating mode: cfg.dec_steps Adam updates of only the
+    decoder blocks at snr_dec, then cfg.enc_steps updates of only the
+    encoder blocks at snr_enc. The inactive parameter group is bound as
+    constants, so it is bit-identical before and after each phase. In
+    encoder_only_softmap mode each epoch is the encoder phase alone, decoded
+    by the exact max-log decoder over the full codebook (k <= 16).
     """
-    if cfg.mode == ENCODER_ONLY_SOFTMAP:
-        return train_encoder_only_softmap(model, cfg)
+    if cfg.mode == ENCODER_ONLY_SOFTMAP and model.k > MAX_FULL_CODEBOOK_K:
+        raise ValueError(f"k={model.k} too large for full-codebook decoding "
+                         f"(limit {MAX_FULL_CODEBOOK_K})")
     log = TrainLog()
     start = time.monotonic()
     adam_dec = AdamState.for_params(model.decoder_params(), cfg.lr_dec)
     adam_enc = AdamState.for_params(model.encoder_params(), cfg.lr_enc)
+    # (phase, RNG stream, steps, SNR, Adam state, trains the encoder, step loss)
+    if cfg.mode == ENCODER_ONLY_SOFTMAP:
+        phases = [("enc", 2, cfg.enc_steps, cfg.snr_enc, adam_enc, True, _softmap_step)]
+    else:
+        phases = [("dec", 0, cfg.dec_steps, cfg.snr_dec, adam_dec, False, _run_step),
+                  ("enc", 1, cfg.enc_steps, cfg.snr_enc, adam_enc, True, _run_step)]
 
     for epoch in range(cfg.epochs):
-        for phase, steps, snr, adam, train_enc in (
-            ("dec", cfg.dec_steps, cfg.snr_dec, adam_dec, False),
-            ("enc", cfg.enc_steps, cfg.snr_enc, adam_enc, True),
-        ):
+        for phase, stream, steps, snr, adam, train_enc, step_loss in phases:
             ch = make_channel(channel_kind, snr_to_sigma(snr))
             for step in range(steps):
-                rng = _step_rng(cfg.seed, epoch, 0 if phase == "dec" else 1, step)
+                rng = _step_rng(cfg.seed, epoch, stream, step)
                 msgs = sample_messages(cfg.batch_size, model.k, rng)
                 binding = bind(model, train_encoder=train_enc,
                                train_decoder=not train_enc)
-                loss = _run_step(model, msgs, ch, rng, binding)
+                loss = step_loss(model, msgs, ch, rng, binding)
                 if not np.isfinite(loss.value):
                     log.add(phase, epoch, step, float(loss.value), float("nan"))
                     raise TrainingDiverged(
@@ -217,42 +233,6 @@ def _gather_rows(a: ad.Node, idx: np.ndarray) -> ad.Node:
         return (out,)
 
     return ad.custom_op(a.value[idx], (a,), vjp)
-
-
-def train_encoder_only_softmap(model: KoModel, cfg: TrainConfig) -> tuple[KoModel, TrainLog]:
-    """Train only the encoder against the exact differentiable max-log
-    decoder over the full codebook (k <= 16); decoder blocks are untouched."""
-    if model.k > MAX_FULL_CODEBOOK_K:
-        raise ValueError(f"k={model.k} too large for full-codebook decoding "
-                         f"(limit {MAX_FULL_CODEBOOK_K})")
-    log = TrainLog()
-    start = time.monotonic()
-    adam_enc = AdamState.for_params(model.encoder_params(), cfg.lr_enc)
-    msgs_all = all_messages(model.k)
-    ch = awgn(snr_to_sigma(cfg.snr_enc))
-
-    for epoch in range(cfg.epochs):
-        for step in range(cfg.enc_steps):
-            rng = _step_rng(cfg.seed, epoch, 2, step)
-            msgs = sample_messages(cfg.batch_size, model.k, rng)
-            binding = bind(model, train_encoder=True)
-            codebook = ko_encode_graph(model, msgs_all, binding)
-            x = _gather_rows(codebook, _message_indices(msgs))
-            y = _transmit_node(x, ch, rng)
-            scores = ad.matmul(y, _transpose(codebook))
-            llrs = softmap_codebook_llrs(scores, model.k)
-            loss = ad.bce_with_logits(llrs, msgs)
-            if not np.isfinite(loss.value):
-                log.add("enc", epoch, step, float(loss.value), float("nan"))
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch}, encoder step {step}")
-            backward(loss)
-            nodes = binding.encoder_nodes()
-            grads = _clip_grads([grad_or_zero(nd) for nd in nodes], cfg.clip_norm)
-            adam_step(adam_enc, model.encoder_params(), grads)
-            log.add("enc", epoch, step, float(loss.value), _grad_norm(nodes))
-    log.wall_seconds = time.monotonic() - start
-    return model, log
 
 
 def _message_indices(msgs: np.ndarray) -> np.ndarray:

@@ -54,6 +54,16 @@ class TestCodesInfo:
     def test_missing_params_is_usage_error(self, capsys):
         assert run(["codes", "info", "--code", "rm"]) == 2
 
+    def test_unknown_code_is_usage_error(self, capsys):
+        assert run(["codes", "info", "--code", "gaussian", "--n", "8", "--k", "2"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "gaussian" in err
+
+    def test_leaves_in_decode_order(self, capsys):
+        assert run(["codes", "info", "--code", "rm", "--m", "3", "--r", "1"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == "leaves (decode order): RM(2,0), RM(1,0), RM(1,1)"
+
 
 class TestSimulateCommand:
     def test_csv_has_one_row_per_snr(self, tmp_path, capsys):
@@ -217,6 +227,19 @@ class TestAnalyzeCommands:
         assert parsed[0] == ["leaf", "first_error_blocks", "fraction"]
         for label, blocks, fraction in parsed[1:]:
             assert int(blocks) >= 0 and 0.0 <= float(fraction) <= 1.0
+
+    @pytest.mark.parametrize("code", [
+        ["rm", "--m", "5", "--r", "1", "--decoder", "map"],
+        ["rm", "--m", "5", "--r", "1", "--decoder", "fht-map"],
+        ["polar", "--n", "64", "--k", "7", "--decoder", "map"],
+    ], ids=["rm51-map", "rm51-fht-map", "polar64-map"])
+    def test_bler_decomposition_needs_a_leaf_decoder(self, tmp_path, capsys, code):
+        out = tmp_path / "bler.csv"
+        assert run(["analyze", "bler-decomposition", "--code", *code, "--snr", "0",
+                    "--blocks", "100", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and code[-1] in err
+        assert not out.exists()
 
     def test_pairwise_distances(self, tmp_path, capsys):
         out = tmp_path / "h.csv"

@@ -18,7 +18,9 @@ from plotkinlab.codes import (
     polar_spec,
     tree_encode,
 )
+from plotkinlab import decoding
 from plotkinlab.decoding import (
+    LLR_LIMIT,
     dumer_decode,
     fht,
     fht_map_decode_rm1,
@@ -29,6 +31,7 @@ from plotkinlab.decoding import (
     parity_adjusted_add,
     soft_map_llrs,
     soft_reencode,
+    softmap_forward,
 )
 
 finite_llrs = st.floats(-1e3, 1e3, allow_nan=False)
@@ -280,10 +283,24 @@ class TestDumerDecode:
         res = dumer_decode(tree, channel_llr(y, 0.01))
         assert not res.message.any()
 
+    @pytest.mark.parametrize("tree", [build_rm_tree(3, 1), build_rm_tree(5, 2),
+                                      build_polar_tree(polar_spec(16, 5))],
+                             ids=["rm31", "rm52", "polar16_5"])
+    def test_leaves_decode_in_tree_order(self, monkeypatch, tree):
+        seen = []
+
+        def recording(leaf, feat):
+            seen.append(leaf)
+            return softmap_forward(leaf, feat)
+
+        monkeypatch.setattr(decoding, "softmap_forward", recording)
+        dumer_decode(tree, np.ones(tree.n), "soft")
+        assert seen == tree.message_leaves()
+
     def test_decode_order_rm_3_1(self):
-        tree = build_rm_tree(3, 1)
-        res = dumer_decode(tree, np.ones(8))
-        assert res.leaf_labels == ["RM(2,0)", "RM(1,0)", "RM(1,1)"]
+        leaves = build_rm_tree(3, 1).message_leaves()
+        assert [lf.label() for lf in leaves] == ["RM(2,0)", "RM(1,0)", "RM(1,1)"]
+        assert [(lf.lo, lf.hi) for lf in leaves] == [(3, 4), (2, 3), (0, 2)]
 
     def test_soft_rule_reports_llrs(self):
         tree = build_rm_tree(3, 1)
@@ -293,15 +310,17 @@ class TestDumerDecode:
 
     def test_leaf_records_explain_block_errors(self):
         tree = build_rm_tree(4, 2)
+        leaves = tree.message_leaves()
+        assert sorted(i for lf in leaves for i in range(lf.lo, lf.hi)) == list(range(tree.k))
         rng = np.random.default_rng(3)
         msgs = rng.integers(0, 2, (500, tree.k), dtype=np.uint8)
         y = bpsk(tree_encode(tree, msgs)) + 1.2 * rng.standard_normal((500, 16))
         res = dumer_decode(tree, channel_llr(y, 1.2))
         block_bad = (res.message != msgs).any(axis=1)
         leaf_bad = np.zeros(500, dtype=bool)
-        for bits, (lo, hi) in zip(res.leaf_bits, res.leaf_slices):
-            leaf_bad |= (bits != msgs[:, lo:hi]).any(axis=1)
-        assert np.array_equal(block_bad, leaf_bad)
+        for lf in leaves:
+            leaf_bad |= (res.message[:, lf.lo:lf.hi] != msgs[:, lf.lo:lf.hi]).any(axis=1)
+        assert block_bad.any() and np.array_equal(block_bad, leaf_bad)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -321,6 +340,35 @@ class TestDumerDecode:
         soft = dumer_decode(tree, y, "soft")
         assert np.array_equal(hard.message, msgs)
         assert np.array_equal(soft.message, msgs)
+
+
+class TestLlrLimit:
+    @pytest.mark.parametrize("rule", ["hard", "soft"])
+    def test_codewords_near_the_float_limit(self, rule):
+        tree = build_rm_tree(2, 1)
+        msgs = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 1], [1, 1, 1]], dtype=np.uint8)
+        llr = 1.7e308 * bpsk(tree_encode(tree, msgs))
+        assert np.array_equal(dumer_decode(tree, llr, rule).message, msgs)
+
+    @given(st.lists(st.one_of(st.floats(-LLR_LIMIT, LLR_LIMIT), st.sampled_from(
+        [0.0, -0.0, LLR_LIMIT, -LLR_LIMIT, 5e-324, -5e-324])), min_size=4, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_in_range_llrs_pass_through_bit_for_bit(self, values):
+        # RM(2,2) is one full-rate leaf, so dumer_decode runs the leaf rule
+        # straight on its input
+        tree = build_rm_tree(2, 2)
+        llr = np.array(values)
+        soft = dumer_decode(tree, llr, "soft")
+        assert np.array_equal(soft.llrs.view(np.uint64),
+                              soft_map_llrs(tree.root, llr).view(np.uint64))
+        hard = dumer_decode(tree, llr, "hard")
+        assert np.array_equal(hard.message, map_decode(enumerate_codebook(tree), llr)[0])
+
+    def test_llrs_beyond_the_limit_are_clipped(self):
+        tree = build_rm_tree(2, 2)
+        llr = np.array([1.7e308, -1e301, 3.0, -0.0])
+        want = soft_map_llrs(tree.root, np.array([LLR_LIMIT, -LLR_LIMIT, 3.0, -0.0]))
+        assert np.array_equal(dumer_decode(tree, llr, "soft").llrs, want)
 
 
 class TestScPolar:

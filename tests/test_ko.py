@@ -7,7 +7,8 @@ import pytest
 from plotkinlab import autodiff as ad
 from plotkinlab.bits import bpsk
 from plotkinlab.codes import all_messages, build_polar_tree, build_rm_tree, polar_spec, tree_encode
-from plotkinlab.decoding import dumer_decode
+from plotkinlab import ko as ko_module
+from plotkinlab.decoding import dumer_decode, softmap_forward
 from plotkinlab.ko import (
     CheckpointError,
     binarize_kob,
@@ -122,17 +123,38 @@ class TestKoDecode:
         assert llrs.shape == (37,)
         assert np.array_equal(result.message, (llrs < 0).astype(np.uint8))
 
-    def test_leaf_visit_order(self):
+    def test_leaf_visit_order(self, monkeypatch):
         model = make_model(8, 2)
-        _, result = ko_decode(model, np.random.default_rng(6).standard_normal(256))
-        assert result.leaf_labels == ["RM(7,1)", "RM(6,1)", "RM(5,1)", "RM(4,1)",
-                                      "RM(3,1)", "RM(2,1)", "RM(2,2)"]
+        seen = []
 
-    def test_llr_blocks_align_with_message_slices(self):
+        def recording(leaf, feat):
+            seen.append(leaf)
+            return softmap_forward(leaf, feat)
+
+        monkeypatch.setattr(ko_module, "softmap_forward", recording)
+        ko_decode(model, np.random.default_rng(6).standard_normal(256))
+        assert seen == model.tree.message_leaves()
+        assert [lf.label() for lf in seen] == ["RM(7,1)", "RM(6,1)", "RM(5,1)", "RM(4,1)",
+                                               "RM(3,1)", "RM(2,1)", "RM(2,2)"]
+
+    def test_llr_blocks_align_with_message_slices(self, monkeypatch):
         model = make_model(8, 2)
-        _, result = ko_decode(model, np.random.default_rng(7).standard_normal(256))
-        assert result.leaf_slices[0] == (29, 37)   # first decoded, highest block
-        assert result.leaf_slices[-1] == (0, 4)
+        leaf_llrs = {}
+
+        def recording(leaf, feat):
+            out = softmap_forward(leaf, feat)
+            leaf_llrs[leaf] = out[0]
+            return out
+
+        monkeypatch.setattr(ko_module, "softmap_forward", recording)
+        y = np.random.default_rng(7).standard_normal((5, 256))
+        with ad.no_tape():
+            llr_node, leaves = ko_decode_graph(model, ad.const(y), bind(model))
+        assert leaves == model.tree.message_leaves()
+        assert (leaves[0].lo, leaves[0].hi) == (29, 37)   # first decoded, highest block
+        assert (leaves[-1].lo, leaves[-1].hi) == (0, 4)
+        for lf in leaves:
+            assert np.array_equal(llr_node.value[:, lf.lo:lf.hi], leaf_llrs[lf])
 
     def test_length_checked(self):
         with pytest.raises(ValueError):

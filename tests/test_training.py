@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 
 import numpy as np
@@ -16,7 +17,6 @@ from plotkinlab.training import (
     bce_loss,
     sample_messages,
     train,
-    train_encoder_only_softmap,
 )
 
 
@@ -24,6 +24,10 @@ def make_model(m, r, seed=0, init="normal"):
     tree = build_rm_tree(m, r)
     return build_ko_model(tree, {"family": "rm", "m": m, "r": r}, "tiny",
                           seed=seed, init=init)
+
+
+def train_encoder_only(model, cfg, channel_kind="awgn"):
+    return train(model, dataclasses.replace(cfg, mode="encoder_only_softmap"), channel_kind)
 
 
 def snapshot(model):
@@ -148,7 +152,7 @@ class TestEncoderOnly:
                           lr_enc=1e-3, lr_dec=1e-3, batch_size=32, seed=12,
                           mode="encoder_only_softmap")
         before = [p.copy() for p in model.encoder_params()]
-        _, log = train_encoder_only_softmap(model, cfg)
+        _, log = train_encoder_only(model, cfg)
         assert log.records[0][4] > 0  # nonzero gradient norm on step one
         moved = [not np.array_equal(a, b)
                  for a, b in zip(before, model.encoder_params())]
@@ -160,7 +164,7 @@ class TestEncoderOnly:
         dec_before = [p.copy() for p in model.decoder_params()]
         cfg = TrainConfig(epochs=1, dec_steps=0, enc_steps=2, snr_enc=0.0,
                           lr_enc=1e-3, lr_dec=1e-3, batch_size=16, seed=13)
-        train_encoder_only_softmap(model, cfg)
+        train_encoder_only(model, cfg)
         assert params_equal(dec_before, model.decoder_params())
 
     def test_zero_init_matches_classical_map_loss(self):
@@ -169,7 +173,7 @@ class TestEncoderOnly:
         model = make_model(3, 1, seed=14, init="zeros")
         cfg = TrainConfig(epochs=1, dec_steps=0, enc_steps=1, snr_enc=0.0,
                           lr_enc=1e-9, lr_dec=1e-9, batch_size=64, seed=15)
-        _, log = train_encoder_only_softmap(model, cfg)
+        _, log = train_encoder_only(model, cfg)
 
         from plotkinlab.codes import all_messages
 
@@ -192,13 +196,22 @@ class TestEncoderOnly:
         assert model.k == 7
         cfg = TrainConfig(epochs=1, dec_steps=0, enc_steps=1, snr_enc=0.0,
                           lr_enc=1e-4, lr_dec=1e-4, batch_size=8, seed=17)
-        train_encoder_only_softmap(model, cfg)
+        train_encoder_only(model, cfg)
+
+    @pytest.mark.parametrize("channel", ["rayleigh", "bursty"])
+    def test_channel_is_honoured(self, channel):
+        cfg = TrainConfig(epochs=1, dec_steps=0, enc_steps=2, snr_enc=0.0,
+                          lr_enc=1e-3, lr_dec=1e-3, batch_size=16, seed=19)
+        awgn_model, awgn_log = train_encoder_only(make_model(3, 1, seed=20), cfg)
+        model, log = train_encoder_only(make_model(3, 1, seed=20), cfg, channel)
+        assert log.losses() != awgn_log.losses()
+        assert not params_equal(awgn_model.encoder_params(), model.encoder_params())
 
     def test_large_k_rejected(self):
         model = make_model(5, 3, seed=18)
         assert model.k > 16
         with pytest.raises(ValueError):
-            train_encoder_only_softmap(model, SMOKE)
+            train_encoder_only(model, SMOKE)
 
 
 class TestTrainConfig:
