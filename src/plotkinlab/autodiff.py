@@ -8,7 +8,8 @@ implementations, so taped and untaped results agree bit for bit.
 
 Gradients flow only through nodes reachable from a ``var``; subgraphs built
 purely from ``const`` inputs are skipped during the backward pass, and
-nothing at all is recorded inside ``no_tape()``.
+nothing at all is recorded inside ``no_tape()``, where dense blocks run a
+row-tiled kernel (``dense_forward``) with bit-identical values.
 """
 from __future__ import annotations
 
@@ -23,6 +24,10 @@ from .decoding import stable_sigmoid
 
 SELU_LAMBDA = 1.0507009873554805
 SELU_ALPHA = 1.6732632423543772
+
+# Floats per row tile of an untaped dense block (see dense_forward): 512 KB,
+# 2,048 rows of a width-32 layer, so a tile's activations stay in cache.
+TILE_FLOATS = 1 << 16
 
 
 class Node:
@@ -62,7 +67,7 @@ _tape = _TapeState()
 @contextmanager
 def no_tape():
     """Record no tape on this thread inside the block: ops return parentless
-    nodes without a pullback, with values from the same expressions, so each
+    nodes without a pullback, with bit-identical values, so each
     intermediate is freed as soon as the forward pass drops it."""
     previous = _tape.recording
     _tape.recording = False
@@ -130,19 +135,27 @@ def dense_affine(x: Node, w: Node, b: Node) -> Node:
     return add(matmul(x, w), b)
 
 
-def selu(a: Node) -> Node:
-    """L*max(x, 0) + L*A*(exp(min(x, 0)) - 1) in place: bit-identical to
-    selecting either term by the sign of x, as the other one is exactly 0.
-    The derivative is formed only if a gradient is needed."""
-    x = a.value
-    ex = np.minimum(x, 0.0)
+def selu_into(x: np.ndarray, out: np.ndarray, ex: np.ndarray, slope: bool = False):
+    """Write L*max(x, 0) + L*A*(exp(min(x, 0)) - 1) to out, which may be x,
+    using ex (x's shape) as scratch: bit-identical to selecting either term
+    by the sign of x, as the other one is exactly 0. Returns the derivative
+    if slope is set, else None."""
+    np.minimum(x, 0.0, out=ex)
     np.exp(ex, out=ex)
-    dx = np.where(x > 0, SELU_LAMBDA, SELU_LAMBDA * SELU_ALPHA * ex) if a.requires else None
+    dx = np.where(x > 0, SELU_LAMBDA, SELU_LAMBDA * SELU_ALPHA * ex) if slope else None
     ex -= 1.0
     ex *= SELU_LAMBDA * SELU_ALPHA
-    val = np.maximum(x, 0.0)
-    val *= SELU_LAMBDA
-    val += ex
+    np.maximum(x, 0.0, out=out)
+    out *= SELU_LAMBDA
+    out += ex
+    return dx
+
+
+def selu(a: Node) -> Node:
+    """SELU; the derivative is formed only if a gradient is needed."""
+    x = a.value
+    val = np.empty_like(x)
+    dx = selu_into(x, val, np.empty_like(x), slope=a.requires)
     return _op(val, (a,), lambda g: (g * dx,))
 
 
@@ -303,6 +316,8 @@ class DenseBlock:
         return sum(p.size for p in self.parameters())
 
     def apply(self, x: Node, params: list[Node]) -> Node:
+        if not _tape.recording:
+            return Node(dense_forward(x.value, [p.value for p in params]))
         h = x
         layers = len(self.weights)
         for i in range(layers):
@@ -310,6 +325,46 @@ class DenseBlock:
             if i < layers - 1:
                 h = selu(h)
         return h
+
+
+def dense_forward(x: np.ndarray, params: list[np.ndarray]) -> np.ndarray:
+    """DenseBlock's forward value from its (weight, bias, ...) arrays,
+    without a tape and bit-identical to the taped DenseBlock.apply.
+
+    The SELU hidden layers run a tile of rows at a time, in place
+    (h = tile @ W; h += b; SELU), so a tile's activations stay in cache from
+    layer to layer. A tile has TILE_FLOATS // (widest hidden layer) rows
+    and the last one takes the remainder too, so no tile has one row unless
+    x has: numpy multiplies a single row by gemv, which rounds differently
+    from the gemm of larger tiles, and gemm rounds each row alike whatever
+    the row count. The output layer is one product over all rows, as in the
+    taped block: numpy multiplies by a one-column weight (every KO block's
+    output layer) with gemv, whose BLAS threads split the rows at places
+    that depend on the row count, so tile by tile some rows would round
+    differently.
+    """
+    weights, biases = params[0::2], params[1::2]
+    h = x
+    if len(weights) > 1:
+        rows = x.shape[0]
+        widest = max(w.shape[1] for w in weights[:-1])
+        tile = max(1, TILE_FLOATS // widest)
+        starts = range(0, max(rows - tile, 0) + 1, tile)
+        span = rows - starts[-1]
+        h = np.empty((rows, weights[-2].shape[1]))
+        buffers = [np.empty((span, w.shape[1])) for w in weights[:-2]]
+        ex = np.empty(span * widest)
+        for lo, hi in zip(starts, [*starts[1:], rows]):
+            a = x[lo:hi]
+            for w, b, buf in zip(weights[:-1], biases[:-1], [*buffers, h[lo:hi]]):
+                out = buf[:hi - lo]
+                np.matmul(a, w, out=out)
+                out += b
+                selu_into(out, out, ex[:out.size].reshape(out.shape))
+                a = out
+    y = h @ weights[-1]
+    y += biases[-1]
+    return y
 
 
 def init_weights(block: DenseBlock, rng: np.random.Generator, std: float = 0.02) -> DenseBlock:

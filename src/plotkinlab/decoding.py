@@ -39,20 +39,33 @@ SOFT_MAP = "soft"
 # takes 1 MB, so its butterflies run in cache.
 FHT_TILE_ROWS = 1024
 
-# dumer_decode clips its input LLRs to +/-LLR_LIMIT. Finite LLRs near the
-# float limit (1.8e308) would overflow to inf in the parity adds and leaf
-# correlations and decode to wrong bits. Each parity add at most doubles a
-# feature and a leaf correlation sums 2^(m-depth) of them, so no value
-# exceeds 2^(m+1) times the input bound, with m <= MAX_TREE_M = 10.
+# dumer_decode and ko_decode clip their input to +/-LLR_LIMIT (clip_llrs).
+# Finite LLRs near the float limit (1.8e308) would overflow to inf in the
+# parity adds and leaf correlations and decode to wrong bits. Each parity
+# add at most doubles a feature and a leaf correlation sums 2^(m-depth) of
+# them, so no classical value exceeds 2^(m+1) times the input bound, with
+# m <= MAX_TREE_M = 10. A trained KO block's output has no such bound, so
+# ko_decode also rejects non-finite output LLRs.
 LLR_LIMIT = 1e300
 
 
-def require_finite(llr) -> np.ndarray:
+def require_finite(llr, what: str = "decoder input") -> np.ndarray:
     """llr as a float64 array; ValueError if it holds a NaN or an infinity,
     which would otherwise decode silently to arbitrary bits."""
     llr = np.asarray(llr, dtype=np.float64)
     if not np.isfinite(llr).all():
-        raise ValueError("decoder input holds NaN or infinite values")
+        raise ValueError(f"{what} holds NaN or infinite values")
+    return llr
+
+
+def clip_llrs(llr) -> np.ndarray:
+    """llr as a float64 array clipped to +/-LLR_LIMIT; ValueError if it
+    holds a NaN or an infinity."""
+    llr = np.asarray(llr, dtype=np.float64)
+    # min and max need no new array, unlike clipping every input; NaN and
+    # inf fail the range test too, and require_finite then rejects them
+    if not -LLR_LIMIT <= llr.min(initial=0.0) <= llr.max(initial=0.0) <= LLR_LIMIT:
+        llr = np.clip(require_finite(llr), -LLR_LIMIT, LLR_LIMIT)
     return llr
 
 
@@ -293,17 +306,30 @@ def soft_reencode(leaf: Leaf, soft_bits) -> np.ndarray:
 
     soft_bits holds per-bit probabilities of the bit being 1; each codeword
     position is the product of the soft signs 1-2p of the message bits in
-    its generator column. Hard inputs reproduce the BPSK image of the hard
-    encoding exactly; p = 0.5 yields total uncertainty (soft sign 0).
+    its generator column, multiplied in message-bit order. Hard inputs
+    reproduce the BPSK image of the hard encoding exactly; p = 0.5 yields
+    total uncertainty (soft sign 0).
     """
     p = np.asarray(soft_bits, dtype=np.float64)
     single = p.ndim == 1
     p = np.atleast_2d(p)
     if leaf.kind == FROZEN:
         return np.ones((p.shape[0], leaf.length))
-    gen = leaf_decode_data(leaf.kind, leaf.m).generator
     t = 1.0 - 2.0 * p
-    out = np.prod(np.where(gen[None, :, :] == 1, t[:, :, None], 1.0), axis=1)
+    if leaf.kind == FIRST_ORDER:
+        out = np.empty((p.shape[0], leaf.length))
+        # Generator row j >= 1 is parity_table row 2^(j-1): position x holds
+        # t_0 times t_j for each set bit j-1 of x. Doubling the filled prefix
+        # by t_j appends t_j as the last factor, the order of message bits.
+        out[:, 0] = t[:, 0]
+        for j in range(1, leaf.m + 1):
+            half = 1 << (j - 1)
+            np.multiply(out[:, :half], t[:, j:j + 1], out=out[:, half:2 * half])
+    else:
+        gen = leaf_decode_data(leaf.kind, leaf.m).generator
+        out = np.ones((p.shape[0], leaf.length))
+        for i in range(gen.shape[0]):
+            out *= np.where(gen[i] == 1, t[:, i:i + 1], 1.0)
     return out[0] if single else out
 
 
@@ -335,11 +361,7 @@ def dumer_decode(tree: PlotkinTree, llr, leaf_rule: str = HARD_MAP) -> DecodeRes
     the soft-sign lift of the sigmoid bit probabilities (the classical
     skeleton of the KO decoder). Input LLRs are clipped to +/-LLR_LIMIT.
     """
-    llr = np.asarray(llr, dtype=np.float64)
-    # min and max need no new array, unlike clipping every input; NaN and
-    # inf fail the range test too, and require_finite then rejects them
-    if not -LLR_LIMIT <= llr.min(initial=0.0) <= llr.max(initial=0.0) <= LLR_LIMIT:
-        llr = np.clip(require_finite(llr), -LLR_LIMIT, LLR_LIMIT)
+    llr = clip_llrs(llr)
     single = llr.ndim == 1
     l2 = np.atleast_2d(llr)
     if l2.shape[1] != tree.n:

@@ -37,6 +37,7 @@ from .codes import (
 )
 from .decoding import (
     DecodeResult,
+    clip_llrs,
     leaf_decode_data,
     require_finite,
     soft_reencode,
@@ -343,14 +344,15 @@ def ko_decode(model: KoModel, y) -> tuple[np.ndarray, DecodeResult]:
     Hard decisions set bit j to 1 iff its LLR is negative. Runs
     ko_decode_graph without recording a tape.
     """
-    y = require_finite(y)
+    y = clip_llrs(y)
     single = y.ndim == 1
     y2 = np.atleast_2d(y)
     if y2.shape[1] != model.n:
         raise ValueError(f"received length {y2.shape[1]} != n={model.n}")
     with ad.no_tape():
         llr_node, _ = ko_decode_graph(model, ad.const(y2), bind(model))
-    llrs = llr_node.value[0] if single else llr_node.value
+    llrs = require_finite(llr_node.value, "KO decoder output")
+    llrs = llrs[0] if single else llrs
     return llrs, DecodeResult((llrs < 0).astype(np.uint8), llrs)
 
 

@@ -2,17 +2,26 @@
 
 Each reference below is the straightforward expression the kernel computes:
 the np.stack butterfly transform, the GF(2) matmul first-order encoder, the
-codeword rebuilt from a float Hadamard row, and the arithmetic BPSK map and
-channel. The kernels must reproduce them bit for bit, not just to rounding.
+codeword rebuilt from a float Hadamard row, the arithmetic BPSK map and
+channel, the taped dense block and the np.prod soft re-encoder. The kernels
+must reproduce them bit for bit, not just to rounding.
 """
 import numpy as np
 import pytest
 
+from plotkinlab import autodiff as ad
 from plotkinlab import bits as bits_module
 from plotkinlab.bits import as_bits, bpsk, hadamard_matrix, parity_table
 from plotkinlab.channel import awgn, bursty, rayleigh_fast, transmit
-from plotkinlab.codes import encode_first_order
-from plotkinlab.decoding import FHT_TILE_ROWS, fht, fht_map_decode_rm1
+from plotkinlab.codes import (
+    FIRST_ORDER,
+    FULL_RATE,
+    REPETITION,
+    Leaf,
+    encode_first_order,
+    leaf_generator,
+)
+from plotkinlab.decoding import FHT_TILE_ROWS, fht, fht_map_decode_rm1, soft_reencode
 
 TILE = FHT_TILE_ROWS
 SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.0e-308,
@@ -163,3 +172,79 @@ class TestBitsAndChannel:
         before = x.copy()
         assert same_bits(transmit(x, ch, np.random.default_rng(7)), want)
         assert same_bits(x, before)
+
+
+def dense_tile(widths):
+    """Rows per tile of an untaped block: TILE_FLOATS over its widest hidden layer."""
+    return ad.TILE_FLOATS // max(widths[1:-1])
+
+
+class TestDenseKernel:
+    """The untaped DenseBlock.apply (row tiles, in place) against the taped
+    one, which runs each layer over all rows as separate tape operations."""
+
+    @pytest.mark.parametrize("widths", [[2, 32, 32, 32, 1], [4, 32, 32, 32, 1],
+                                        [2, 4, 1], [4, 4, 1]], ids=str)
+    @pytest.mark.parametrize("special", [False, True], ids=["gaussian", "special"])
+    def test_tile_boundaries_bit_identical(self, widths, special):
+        rng = np.random.default_rng(sum(widths) + special)
+        block = ad.init_weights(ad.DenseBlock.zeros(widths), rng)
+        params = [ad.const(p) for p in block.parameters()]
+        tile = dense_tile(widths)
+        for rows in (tile - 1, tile, tile + 1, 3 * tile + 5):
+            if special:
+                x = special_inputs(rng, rows, widths[0])
+                x[rng.random(x.shape) < 0.02] = np.nan
+            else:
+                x = rng.standard_normal((rows, widths[0]))
+            before = x.copy()
+            with np.errstate(over="ignore", invalid="ignore"):
+                taped = block.apply(ad.const(x), params)
+                with ad.no_tape():
+                    plain = block.apply(ad.const(x), params)
+            assert taped.parents and not plain.parents
+            assert same_bits(plain.value, taped.value), rows
+            assert same_bits(x, before)
+
+    @pytest.mark.parametrize("rows", [0, 1, 2, 7])
+    def test_few_rows_and_a_single_layer(self, rows):
+        rng = np.random.default_rng(rows)
+        for widths in ([2, 32, 32, 32, 1], [3, 1]):
+            block = ad.init_weights(ad.DenseBlock.zeros(widths), rng)
+            params = [ad.const(p) for p in block.parameters()]
+            x = rng.standard_normal((rows, widths[0]))
+            taped = block.apply(ad.const(x), params).value
+            with ad.no_tape():
+                plain = block.apply(ad.const(x), params).value
+            assert same_bits(plain, taped)
+
+
+def reference_soft_reencode(leaf, p):
+    """The B x k x length product the re-encoder replaced."""
+    p = np.atleast_2d(p)
+    gen = leaf_generator(leaf)
+    t = 1.0 - 2.0 * p
+    return np.prod(np.where(gen[None, :, :] == 1, t[:, :, None], 1.0), axis=1)
+
+
+SOFT_LEAVES = ([Leaf(FIRST_ORDER, m, 0, m + 1) for m in range(9)]
+               + [Leaf(REPETITION, m, 0, 1) for m in range(5)]
+               + [Leaf(FULL_RATE, m, 0, 1 << m) for m in range(4)])
+
+
+class TestSoftReencodeKernel:
+    @pytest.mark.parametrize("m", range(11))
+    def test_first_order_generator_rows_follow_the_parity_table(self, m):
+        gen = leaf_generator(Leaf(FIRST_ORDER, m, 0, m + 1))
+        assert (gen[0] == 1).all()
+        assert np.array_equal(gen[1:], parity_table(m)[1 << np.arange(m)])
+
+    @pytest.mark.parametrize("leaf", SOFT_LEAVES, ids=lambda lf: lf.label())
+    def test_equals_product_over_the_generator(self, leaf):
+        rng = np.random.default_rng(leaf.length + leaf.k)
+        p = rng.random((257, leaf.k))
+        hit = rng.random(p.shape) < 0.2
+        p[hit] = rng.choice([0.0, 1.0, 0.5, -0.0, 5e-324, 1.0 - 2**-53, 1e-300, np.nan],
+                            size=int(hit.sum()))
+        assert same_bits(soft_reencode(leaf, p), reference_soft_reencode(leaf, p))
+        assert same_bits(soft_reencode(leaf, p[3]), reference_soft_reencode(leaf, p[3])[0])

@@ -3,12 +3,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plotkinlab import autodiff as ad
 from plotkinlab.bits import bpsk
 from plotkinlab.codes import all_messages, build_polar_tree, build_rm_tree, polar_spec, tree_encode
 from plotkinlab import ko as ko_module
-from plotkinlab.decoding import dumer_decode, softmap_forward
+from plotkinlab.decoding import LLR_LIMIT, dumer_decode, softmap_forward
 from plotkinlab.ko import (
     CheckpointError,
     binarize_kob,
@@ -224,6 +226,40 @@ class TestTapeFreeInference:
         taped_llrs, _ = ko_decode_graph(model, ad.const(taped_x), binding)
         assert llrs.shape == (model.k,) and np.array_equal(llrs, taped_llrs.value[0])
         assert result.message.shape == (model.k,)
+
+
+class TestLlrLimit:
+    """ko_decode clips its input to +/-LLR_LIMIT, as dumer_decode does, and
+    rejects non-finite output LLRs."""
+
+    CODEWORDS = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 1], [1, 1, 1]], dtype=np.uint8)
+
+    @pytest.mark.parametrize("profile", ["tiny", "standard"])
+    def test_codewords_near_the_float_limit(self, profile):
+        model = make_model(2, 1, profile, init="zeros")
+        y = 1.7e308 * bpsk(tree_encode(model.tree, self.CODEWORDS))
+        llrs, result = ko_decode(model, y)
+        assert np.array_equal(result.message, self.CODEWORDS)
+        assert np.isfinite(llrs).all()
+
+    @given(st.sampled_from(["tiny", "standard"]),
+           st.lists(st.one_of(st.floats(-LLR_LIMIT, LLR_LIMIT), st.sampled_from(
+               [0.0, -0.0, LLR_LIMIT, -LLR_LIMIT, 5e-324, -5e-324])), min_size=4, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_in_range_input_passes_through_bit_for_bit(self, profile, values):
+        model = make_model(2, 1, profile, init="zeros")
+        y = np.array(values)
+        llrs, _ = ko_decode(model, y)
+        taped, _ = ko_decode_graph(model, ad.const(y[None, :]), bind(model))
+        assert np.array_equal(llrs.view(np.uint64), taped.value[0].view(np.uint64))
+
+    def test_overflowing_block_raises(self):
+        model = make_model(2, 1, "tiny", init="zeros")
+        (nid,) = model.neural_ids()
+        model.dec_left[nid].biases[-1][:] = 1.5e308
+        with pytest.raises(ValueError, match="KO decoder output"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                ko_decode(model, np.ones((2, 4)))
 
 
 class TestBinarize:

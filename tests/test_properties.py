@@ -1,14 +1,20 @@
-"""Properties of the leaf decode order over small random RM and Polar codes.
+"""Properties over small random RM and Polar codes.
 
 Both recursive decoders visit the non-frozen leaves in the order
 PlotkinTree.message_leaves() lists them; the properties here pin what
 relies on that: a zero-weight KO model is soft Dumer exactly, and
-bler_decomposition charges each block error to the first wrong leaf.
+bler_decomposition charges each block error to the first wrong leaf. The
+untaped KO encoder and decoder equal the taped graphs bit for bit, and
+simulated counts do not depend on the thread count; both run with dense
+block tiles of a few rows, so that every tile edge case occurs.
 """
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from plotkinlab import autodiff as ad
+from plotkinlab import evaluation
 from plotkinlab.bits import bpsk
 from plotkinlab.channel import make_channel, snr_to_sigma
 from plotkinlab.codes import FULL_RATE, build_polar_tree, build_rm_tree, polar_spec, tree_encode
@@ -19,8 +25,19 @@ from plotkinlab.evaluation import (
     ko_system,
     polar_system,
     rm_system,
+    simulate_error_rates,
 )
-from plotkinlab.ko import ALL_BUT_ROOT, ALL_INTERNAL, PROFILES, build_ko_model, ko_decode
+from plotkinlab.ko import (
+    ALL_BUT_ROOT,
+    ALL_INTERNAL,
+    PROFILES,
+    bind,
+    build_ko_model,
+    ko_decode,
+    ko_decode_graph,
+    ko_encode,
+    ko_encode_graph,
+)
 
 BOUNDED = settings(max_examples=60, deadline=10000)
 
@@ -97,3 +114,49 @@ def test_bler_decomposition_charges_the_first_wrong_leaf(system_args, seed, snr_
     assert [c.first_error_blocks for c in contribs] == first_wrong_leaf_counts(tree, msgs, decoded)
     assert sum(c.first_error_blocks for c in contribs) / blocks == bler
     assert bler == (decoded != msgs).any(axis=1).mean()
+
+
+# Dense-block tiles of 2 rows for width-32 layers and 16 for width-4 ones.
+SMALL_TILE_FLOATS = 64
+
+
+@given(models, st.integers(0, 2**32 - 1), st.integers(1, 9), st.floats(0.1, 3.0))
+@BOUNDED
+def test_untaped_ko_equals_taped_graphs(model_args, seed, batch, sigma):
+    (code, tree), profile, neuralize = model_args
+    model = build_ko_model(tree, code, profile, neuralize, seed=seed)
+    rng = np.random.default_rng(seed)
+    msgs = rng.integers(0, 2, (batch, tree.k), dtype=np.uint8)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ad, "TILE_FLOATS", SMALL_TILE_FLOATS)
+        x = ko_encode(model, msgs)
+        taped_x = ko_encode_graph(model, msgs, bind(model))
+        y = x + sigma * rng.standard_normal(x.shape)
+        llrs, _ = ko_decode(model, y)
+        taped_llrs, _ = ko_decode_graph(model, ad.const(y), bind(model))
+    assert taped_x.parents and taped_llrs.parents
+    assert np.array_equal(x.view(np.uint64), taped_x.value.view(np.uint64))
+    assert np.array_equal(llrs.view(np.uint64), taped_llrs.value.view(np.uint64))
+
+
+@given(st.one_of(st.tuples(small_codes(), st.just("classical")), st.tuples(models, st.just("ko"))),
+       st.integers(0, 2**16), st.floats(-4.0, 4.0))
+@settings(max_examples=20, deadline=20000)
+def test_simulated_counts_do_not_depend_on_threads(system_args, seed, snr_db):
+    spec, decoder = system_args
+    if decoder == "ko":
+        (code, tree), profile, neuralize = spec
+        system = ko_system(build_ko_model(tree, code, profile, neuralize, seed=seed))
+    else:
+        code, tree = spec
+        system = (rm_system(code["m"], code["r"]) if code["family"] == "rm"
+                  else polar_system(polar_spec(code["n"], code["k"])))
+    counts = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ad, "TILE_FLOATS", SMALL_TILE_FLOATS)
+        mp.setattr(evaluation, "CHUNK_BLOCKS", 37)  # five chunks, the last one short
+        for threads in (1, 2):
+            results = simulate_error_rates(system, "awgn", [snr_db], 170, min_block_errors=0,
+                                           max_blocks=170, seed=seed, threads=threads)
+            counts.append([(r.blocks, r.bit_errors, r.block_errors) for r in results])
+    assert counts[0] == counts[1]
