@@ -121,18 +121,9 @@ def neg(a: Node) -> Node:
     return _op(-a.value, (a,), lambda g: (-g,))
 
 
-def scale(a: Node, c: float) -> Node:
-    return _op(c * a.value, (a,), lambda g: (c * g,))
-
-
 def matmul(a: Node, b: Node) -> Node:
     return _op(a.value @ b.value, (a, b),
                lambda g: (g @ b.value.T, a.value.T @ g))
-
-
-def dense_affine(x: Node, w: Node, b: Node) -> Node:
-    """x @ w + b for a (batch, in) input, (in, out) weight and (out,) bias."""
-    return add(matmul(x, w), b)
 
 
 def selu_into(x: np.ndarray, out: np.ndarray, ex: np.ndarray, slope: bool = False):
@@ -321,7 +312,7 @@ class DenseBlock:
         h = x
         layers = len(self.weights)
         for i in range(layers):
-            h = dense_affine(h, params[2 * i], params[2 * i + 1])
+            h = add(matmul(h, params[2 * i]), params[2 * i + 1])
             if i < layers - 1:
                 h = selu(h)
         return h

@@ -313,10 +313,10 @@ def soft_reencode(leaf: Leaf, soft_bits) -> np.ndarray:
     p = np.asarray(soft_bits, dtype=np.float64)
     single = p.ndim == 1
     p = np.atleast_2d(p)
-    if leaf.kind == FROZEN:
-        return np.ones((p.shape[0], leaf.length))
     t = 1.0 - 2.0 * p
-    if leaf.kind == FIRST_ORDER:
+    if leaf.kind == FROZEN:
+        out = np.ones((p.shape[0], leaf.length))
+    elif leaf.kind == FIRST_ORDER:
         out = np.empty((p.shape[0], leaf.length))
         # Generator row j >= 1 is parity_table row 2^(j-1): position x holds
         # t_0 times t_j for each set bit j-1 of x. Doubling the filled prefix

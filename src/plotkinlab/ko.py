@@ -45,6 +45,9 @@ from .decoding import (
 )
 
 PROFILES = {"standard": [32, 32, 32], "tiny": [4]}
+# (KoModel field, fan-in) of the blocks at each neuralized node: the encoder
+# g_i and the decoder pair f_left / f_right, each with one output.
+BLOCKS = (("enc", 2), ("dec_left", 2), ("dec_right", 4))
 ALL_INTERNAL = "all_internal"
 ALL_BUT_ROOT = "all_but_root"
 
@@ -58,7 +61,10 @@ class CheckpointError(ValueError):
 
 @dataclass
 class KoModel:
-    """Tree topology plus per-node neural blocks and their init lineage."""
+    """Tree topology plus per-node neural blocks and their init lineage.
+
+    encoder_params() and decoder_params() give the one parameter order that
+    Adam states and binding_from_nodes follow."""
 
     tree: PlotkinTree
     code: dict
@@ -117,8 +123,8 @@ def build_ko_model(tree: PlotkinTree, code: dict, profile: str = "standard",
     RM-skeleton models neuralize every internal node; the polar variant
     keeps the root as a plain Plotkin combination. Weights are N(0, 0.02^2)
     draws from a generator seeded by ``seed`` (blocks filled in node-id
-    order: encoder, decoder-left, decoder-right), or exactly zero with
-    init="zeros" for reduction tests.
+    order, then in BLOCKS order), or exactly zero with init="zeros" for
+    reduction tests.
     """
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}")
@@ -130,70 +136,42 @@ def build_ko_model(tree: PlotkinTree, code: dict, profile: str = "standard",
     if neuralize == ALL_BUT_ROOT and isinstance(tree.root, Internal):
         ids = [i for i in ids if i != tree.root.node_id]
     rng = np.random.default_rng(seed)
-    enc, dec_l, dec_r = {}, {}, {}
+    blocks = {name: {} for name, _ in BLOCKS}
     for nid in sorted(ids):
-        shapes = ([2] + hidden + [1], [2] + hidden + [1], [4] + hidden + [1])
-        blocks = []
-        for widths in shapes:
-            blk = DenseBlock.zeros(widths)
-            if init == "normal":
-                blk = init_weights(blk, rng)
-            blocks.append(blk)
-        enc[nid], dec_l[nid], dec_r[nid] = blocks
-    return KoModel(tree, code, profile, neuralize, enc, dec_l, dec_r, seed)
+        for name, fan_in in BLOCKS:
+            blk = DenseBlock.zeros([fan_in] + hidden + [1])
+            blocks[name][nid] = init_weights(blk, rng) if init == "normal" else blk
+    return KoModel(tree, code, profile, neuralize, seed=seed, **blocks)
 
 
 # ---------------------------------------------------------------------------
 # Parameter binding: wrap model arrays in tape nodes once per forward pass
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Binding:
-    enc: dict[int, list[Node]]
-    dec_left: dict[int, list[Node]]
-    dec_right: dict[int, list[Node]]
-
-    def encoder_nodes(self) -> list[Node]:
-        return [nd for nid in sorted(self.enc) for nd in self.enc[nid]]
-
-    def decoder_nodes(self) -> list[Node]:
-        out = []
-        for nid in sorted(self.dec_left):
-            out.extend(self.dec_left[nid])
-            out.extend(self.dec_right[nid])
-        return out
-
-
 def bind(model: KoModel, train_encoder: bool = False,
-         train_decoder: bool = False) -> Binding:
+         train_decoder: bool = False) -> dict[int, Node]:
+    """A tape node for each of the model's parameter arrays, keyed by the
+    array's id(): vars for the groups being trained, constants otherwise."""
     enc_wrap = ad.var if train_encoder else ad.const
     dec_wrap = ad.var if train_decoder else ad.const
-    return Binding(
-        {nid: [enc_wrap(p) for p in blk.parameters()] for nid, blk in model.enc.items()},
-        {nid: [dec_wrap(p) for p in blk.parameters()] for nid, blk in model.dec_left.items()},
-        {nid: [dec_wrap(p) for p in blk.parameters()] for nid, blk in model.dec_right.items()},
-    )
+    nodes = {id(p): enc_wrap(p) for p in model.encoder_params()}
+    nodes.update((id(p), dec_wrap(p)) for p in model.decoder_params())
+    return nodes
 
 
-def binding_from_nodes(model: KoModel, nodes: list[Node]) -> Binding:
-    """Rebuild a Binding from a flat node list ordered like
-    encoder_params() followed by decoder_params() (finite-difference use)."""
-    binding = Binding({}, {}, {})
-    it = iter(nodes)
-    for nid in model.neural_ids():
-        binding.enc[nid] = [next(it) for _ in model.enc[nid].parameters()]
-    for nid in model.neural_ids():
-        binding.dec_left[nid] = [next(it) for _ in model.dec_left[nid].parameters()]
-        binding.dec_right[nid] = [next(it) for _ in model.dec_right[nid].parameters()]
-    return binding
+def binding_from_nodes(model: KoModel, nodes: list[Node]) -> dict[int, Node]:
+    """bind()'s map for a flat node list ordered like encoder_params()
+    followed by decoder_params() (finite-difference use)."""
+    params = model.encoder_params() + model.decoder_params()
+    return {id(p): nd for p, nd in zip(params, nodes, strict=True)}
 
 
-def _apply_coordinatewise(block: DenseBlock, params: list[Node],
+def _apply_coordinatewise(block: DenseBlock, binding: dict[int, Node],
                           features: list[Node]) -> Node:
     """Run a d-input block over every coordinate of d equal-shape features."""
     batch, width = features[0].shape
     packed = ad.reshape(ad.stack_last(features), (batch * width, len(features)))
-    out = block.apply(packed, params)
+    out = block.apply(packed, [binding[id(p)] for p in block.parameters()])
     return ad.reshape(out, (batch, width))
 
 
@@ -241,7 +219,7 @@ def soft_reencode_node(leaf: Leaf, p_one: Node) -> Node:
 # Forward graphs
 # ---------------------------------------------------------------------------
 
-def ko_encode_graph(model: KoModel, msg: np.ndarray, binding: Binding) -> Node:
+def ko_encode_graph(model: KoModel, msg: np.ndarray, binding: dict[int, Node]) -> Node:
     """Differentiable encoder: classical leaves in the soft-sign domain,
     residual neural combination at neuralized nodes, energy-n output."""
     msg = np.atleast_2d(as_bits(msg, "message"))
@@ -255,8 +233,7 @@ def ko_encode_graph(model: KoModel, msg: np.ndarray, binding: Binding) -> Node:
         v = enc(node.v)
         skip = ad.mul(u, v)
         if node.node_id in model.enc:
-            r = _apply_coordinatewise(model.enc[node.node_id],
-                                      binding.enc[node.node_id], [u, v])
+            r = _apply_coordinatewise(model.enc[node.node_id], binding, [u, v])
             second = ad.add(r, skip)
         else:
             second = skip
@@ -268,7 +245,7 @@ def ko_encode_graph(model: KoModel, msg: np.ndarray, binding: Binding) -> Node:
         del enc  # break the closure's self-reference so refcounting frees the tape
 
 
-def ko_decode_graph(model: KoModel, y: Node, binding: Binding):
+def ko_decode_graph(model: KoModel, y: Node, binding: dict[int, Node]):
     """Differentiable decoder from raw received symbols.
 
     Returns (llrs, leaves) where llrs is the (batch, k) node with each
@@ -291,16 +268,14 @@ def ko_decode_graph(model: KoModel, y: Node, binding: Binding):
         base = ad.lse_pair(y1, y2)
         neural = node.node_id in model.dec_left
         if neural:
-            r = _apply_coordinatewise(model.dec_left[node.node_id],
-                                      binding.dec_left[node.node_id], [y1, y2])
+            r = _apply_coordinatewise(model.dec_left[node.node_id], binding, [y1, y2])
             left = ad.add(r, base)
         else:
             left = base
         v_soft = dec(node.v, left)
         base_r = ad.add(y1, ad.mul(v_soft, y2))
         if neural:
-            r = _apply_coordinatewise(model.dec_right[node.node_id],
-                                      binding.dec_right[node.node_id],
+            r = _apply_coordinatewise(model.dec_right[node.node_id], binding,
                                       [y1, y2, left, v_soft])
             right = ad.add(r, base_r)
         else:
@@ -410,11 +385,7 @@ def save_checkpoint(model: KoModel, path) -> None:
         "tree": model.tree.to_dict(),
         "tree_hash": model.tree.structure_hash(),
         "blocks": {
-            str(nid): {
-                "enc": _block_dict(model.enc[nid]),
-                "dec_left": _block_dict(model.dec_left[nid]),
-                "dec_right": _block_dict(model.dec_right[nid]),
-            }
+            str(nid): {name: _block_dict(getattr(model, name)[nid]) for name, _ in BLOCKS}
             for nid in model.neural_ids()
         },
     }
@@ -450,7 +421,7 @@ def load_checkpoint(path) -> KoModel:
         raise CheckpointError("checkpoint blocks do not match the tree's neural nodes")
     for nid in model.neural_ids():
         entry = blocks[str(nid)]
-        for name, want_in in (("enc", 2), ("dec_left", 2), ("dec_right", 4)):
+        for name, want_in in BLOCKS:
             if not isinstance(entry, dict) or name not in entry:
                 raise CheckpointError(f"checkpoint lacks the {name} block of node {nid}")
             blk = _block_from_dict(entry[name])

@@ -23,7 +23,7 @@ from .autodiff import AdamState, adam_step, backward, grad_or_zero
 from .channel import Channel, draw_noise, make_channel, snr_to_sigma
 from .codes import all_messages
 from .decoding import max_log_llrs
-from .ko import Binding, KoModel, bind, ko_decode_graph, ko_encode_graph
+from .ko import KoModel, bind, ko_decode_graph, ko_encode_graph
 
 ALTERNATING = "alternating"
 ENCODER_ONLY_SOFTMAP = "encoder_only_softmap"
@@ -113,7 +113,7 @@ def _transmit_node(x: ad.Node, ch: Channel, rng: np.random.Generator) -> ad.Node
 
 
 def _run_step(model: KoModel, msgs: np.ndarray, ch: Channel,
-              rng: np.random.Generator, binding: Binding) -> ad.Node:
+              rng: np.random.Generator, binding: dict[int, ad.Node]) -> ad.Node:
     x = ko_encode_graph(model, msgs, binding)
     y = _transmit_node(x, ch, rng)
     llrs, _ = ko_decode_graph(model, y, binding)
@@ -121,7 +121,7 @@ def _run_step(model: KoModel, msgs: np.ndarray, ch: Channel,
 
 
 def _softmap_step(model: KoModel, msgs: np.ndarray, ch: Channel,
-                  rng: np.random.Generator, binding: Binding) -> ad.Node:
+                  rng: np.random.Generator, binding: dict[int, ad.Node]) -> ad.Node:
     """_run_step with the exact max-log decoder over the full codebook in
     place of the neural decoder."""
     codebook = ko_encode_graph(model, all_messages(model.k), binding)
@@ -131,18 +131,17 @@ def _softmap_step(model: KoModel, msgs: np.ndarray, ch: Channel,
     return ad.bce_with_logits(softmap_codebook_llrs(scores, model.k), msgs)
 
 
-def _grad_norm(nodes) -> float:
-    total = 0.0
-    for nd in nodes:
-        g = grad_or_zero(nd)
-        total += float(np.sum(g * g))
-    return float(np.sqrt(total))
+def _grad_norm(grads: list[np.ndarray]) -> float:
+    return float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
 
 
-def _clip_grads(grads: list[np.ndarray], clip_norm: float | None) -> list[np.ndarray]:
+def _clip_grads(grads: list[np.ndarray], clip_norm: float | None,
+                norm: float | None = None) -> list[np.ndarray]:
+    """grads scaled down to global norm clip_norm if their norm (given as
+    norm, or computed here) exceeds it."""
     if clip_norm is None:
         return grads
-    total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
+    total = _grad_norm(grads) if norm is None else norm
     if total <= clip_norm:
         return grads
     scale = clip_norm / total
@@ -188,14 +187,12 @@ def train(model: KoModel, cfg: TrainConfig,
                     raise TrainingDiverged(
                         f"non-finite loss at epoch {epoch}, {phase} step {step}")
                 backward(loss)
-                nodes = (binding.encoder_nodes() if train_enc
-                         else binding.decoder_nodes())
-                grads = _clip_grads([grad_or_zero(nd) for nd in nodes],
-                                    cfg.clip_norm)
                 params = (model.encoder_params() if train_enc
                           else model.decoder_params())
-                adam_step(adam, params, grads)
-                log.add(phase, epoch, step, float(loss.value), _grad_norm(nodes))
+                grads = [grad_or_zero(binding[id(p)]) for p in params]
+                gnorm = _grad_norm(grads)
+                adam_step(adam, params, _clip_grads(grads, cfg.clip_norm, gnorm))
+                log.add(phase, epoch, step, float(loss.value), gnorm)
     log.wall_seconds = time.monotonic() - start
     return model, log
 

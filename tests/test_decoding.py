@@ -7,6 +7,7 @@ from plotkinlab.bits import bpsk
 from plotkinlab.channel import channel_llr
 from plotkinlab.codes import (
     FIRST_ORDER,
+    FROZEN,
     FULL_RATE,
     REPETITION,
     Leaf,
@@ -265,6 +266,16 @@ class TestSoftReencode:
         leaf = Leaf(REPETITION, 3, 0, 1)
         got = soft_reencode(leaf, np.array([0.2]))
         assert got == pytest.approx(np.full(8, 0.6))
+
+    @pytest.mark.parametrize("leaf", [
+        Leaf(FROZEN, 2, 0, 0),
+        Leaf(REPETITION, 2, 0, 1),
+        Leaf(FIRST_ORDER, 2, 0, 3),
+        Leaf(FULL_RATE, 2, 0, 4),
+    ])
+    def test_output_rank_follows_input_rank(self, leaf):
+        assert soft_reencode(leaf, np.zeros(leaf.k)).shape == (leaf.length,)
+        assert soft_reencode(leaf, np.zeros((3, leaf.k))).shape == (3, leaf.length)
 
 
 class TestDumerDecode:

@@ -437,6 +437,6 @@ class TestBindingIsolation:
         y = ad.add(x, ad.const(np.random.default_rng(0).standard_normal((4, 8))))
         llrs, _ = ko_decode_graph(model, y, binding)
         ad.backward(ad.bce_with_logits(llrs, msgs))
-        assert all(nd.grad is None for nd in binding.encoder_nodes())
-        assert any(nd.grad is not None and nd.grad.any()
-                   for nd in binding.decoder_nodes())
+        assert all(binding[id(p)].grad is None for p in model.encoder_params())
+        assert any(binding[id(p)].grad is not None and binding[id(p)].grad.any()
+                   for p in model.decoder_params())

@@ -6,8 +6,13 @@ relies on that: a zero-weight KO model is soft Dumer exactly, and
 bler_decomposition charges each block error to the first wrong leaf. The
 untaped KO encoder and decoder equal the taped graphs bit for bit, and
 simulated counts do not depend on the thread count; both run with dense
-block tiles of a few rows, so that every tile edge case occurs.
+block tiles of a few rows, so that every tile edge case occurs. A KO
+checkpoint saved, loaded and saved again is the same file, with the same
+parameters and decoder.
 """
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -37,6 +42,8 @@ from plotkinlab.ko import (
     ko_decode_graph,
     ko_encode,
     ko_encode_graph,
+    load_checkpoint,
+    save_checkpoint,
 )
 
 BOUNDED = settings(max_examples=60, deadline=10000)
@@ -160,3 +167,26 @@ def test_simulated_counts_do_not_depend_on_threads(system_args, seed, snr_db):
                                            max_blocks=170, seed=seed, threads=threads)
             counts.append([(r.blocks, r.bit_errors, r.block_errors) for r in results])
     assert counts[0] == counts[1]
+
+
+@given(models, st.integers(0, 2**32 - 1))
+@BOUNDED
+def test_checkpoint_round_trip_is_byte_exact(model_args, seed):
+    (code, tree), profile, neuralize = model_args
+    model = build_ko_model(tree, code, profile, neuralize, seed=seed)
+    rng = np.random.default_rng(seed)
+    y = bpsk(tree_encode(tree, rng.integers(0, 2, (4, tree.k), dtype=np.uint8))) \
+        + rng.standard_normal((4, tree.n))
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "a.json"), Path(tmp, "b.json")
+        save_checkpoint(model, first)
+        loaded = load_checkpoint(first)
+        save_checkpoint(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+    params = model.encoder_params() + model.decoder_params()
+    loaded_params = loaded.encoder_params() + loaded.decoder_params()
+    assert len(params) == len(loaded_params)
+    assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64))
+               for a, b in zip(params, loaded_params))
+    assert np.array_equal(ko_decode(loaded, y)[0].view(np.uint64),
+                          ko_decode(model, y)[0].view(np.uint64))
