@@ -6,7 +6,9 @@ the LLR feature of its first-decoded (v) child with the elementwise LSE
 rule, re-encoding the decoded child, and forming the u-child feature by
 parity-adjusted addition. Leaves are decoded by MAP: majority for
 repetition codes, a fast Walsh-Hadamard search for first-order codes,
-brute force for small full-rate codes.
+brute force for small full-rate codes. Soft leaves emit max-log LLRs:
+first-order leaves in closed form from the Walsh-Hadamard transform, the
+others by a search over the codebook.
 
 Tie rules, fixed so decoders are deterministic functions: argmax ties take
 the lowest index and LLR sign ties decode to bit 0.
@@ -115,7 +117,8 @@ def fht(l) -> np.ndarray:
 
     n log2(n) butterfly additions over the last axis; fht(fht(x)) == n*x.
     The rows are transformed a tile at a time in batch-major (length, rows)
-    layout, so every butterfly is an in-place pass over contiguous rows.
+    layout (fht_tiles), so every butterfly is an in-place pass over
+    contiguous rows.
     """
     x = np.asarray(l, dtype=np.float64)
     n = x.shape[-1]
@@ -123,6 +126,16 @@ def fht(l) -> np.ndarray:
         raise ValueError(f"length must be a power of two, got {n}")
     rows = x.reshape(-1, n)
     out = np.empty(rows.shape)
+    for start, buf in fht_tiles(rows):
+        out[start:start + buf.shape[1]] = buf.T
+    return out.reshape(x.shape)
+
+
+def fht_tiles(rows: np.ndarray):
+    """Yield (start, tile) for every FHT_TILE_ROWS rows of a (B, n) array,
+    n a power of two: tile is the (n, w) batch-major transform of
+    rows[start:start + w], valid until the next tile is drawn."""
+    n = rows.shape[1]
     tile = max(1, min(FHT_TILE_ROWS, rows.shape[0]))
     diff = np.empty(n // 2 * tile)
     for start in range(0, rows.shape[0], tile):
@@ -137,8 +150,7 @@ def fht(l) -> np.ndarray:
             a += b
             b[...] = t
             h *= 2
-        out[start:start + width] = buf.T
-    return out.reshape(x.shape)
+        yield start, buf
 
 
 def map_decode(codebook: Codebook, l) -> tuple[np.ndarray, np.ndarray]:
@@ -281,23 +293,42 @@ def max_log_llrs(scores: np.ndarray, bit_is_zero: np.ndarray):
     return llrs, arg0, arg1
 
 
-def softmap_forward(leaf: Leaf, l: np.ndarray):
-    """Max-log per-bit LLRs for a leaf, with the argmax pair per bit.
+def softmap_forward(leaf: Leaf, l: np.ndarray) -> np.ndarray:
+    """Max-log per-bit LLRs (B, k) of a leaf from its (B, length) features.
 
     Bit i gets max over bit-i=0 codewords of <l, 1-2c> minus the max over
-    bit-i=1 codewords. Returns (llrs (B,k), arg0, arg1) where arg0/arg1
-    index the selected codewords in the leaf's sign table (used for
-    gradients and for re-encoding checks).
+    bit-i=1 codewords, bit for bit what max_log_llrs gives on
+    softmap_scores. A first-order leaf's scores are [t, -t] with
+    t = fht(l), so per fht tile its affine bit is max(t) + min(t) and linear
+    bit j is the max of |t_x| over x_j = 0 minus the max over x_j = 1
+    (Ashikhmin & Litsyn, IEEE Trans. IT 2004). Rows with no nonzero |t_x|
+    (or with a NaN) take the search, which fixes the sign of a zero LLR.
     """
     data = leaf_decode_data(leaf.kind, leaf.m)
-    return max_log_llrs(softmap_scores(leaf, l), data.mask0)
+    if not data.is_first_order:
+        return max_log_llrs(softmap_scores(leaf, l), data.mask0)[0]
+    n = leaf.length
+    llrs = np.empty((l.shape[0], leaf.k))
+    for start, t in fht_tiles(l):
+        width = t.shape[1]
+        out = llrs[start:start + width].T
+        np.add(t.max(axis=0), t.min(axis=0), out=out[0])
+        mag = np.abs(t)
+        for j in range(1, leaf.m + 1):
+            halves = mag.reshape(n >> j, 2, 1 << (j - 1), width).max(axis=(0, 2))
+            np.subtract(halves[0], halves[1], out=out[j])
+        redo = start + np.flatnonzero(~(mag.max(axis=0) > 0))
+        if redo.size:
+            llrs[redo] = max_log_llrs(softmap_scores(leaf, l[redo]), data.mask0)[0]
+    return llrs
 
 
 def soft_map_llrs(leaf: Leaf, l) -> np.ndarray:
-    """Per-bit LLRs of a leaf's message bits under the max-log rule."""
+    """Per-bit LLRs of a leaf's message bits under the max-log rule
+    (softmap_forward over one row or a batch)."""
     l = np.asarray(l, dtype=np.float64)
     single = l.ndim == 1
-    llrs, _, _ = softmap_forward(leaf, np.atleast_2d(l))
+    llrs = softmap_forward(leaf, np.atleast_2d(l))
     return llrs[0] if single else llrs
 
 
@@ -378,7 +409,7 @@ def dumer_decode(tree: PlotkinTree, llr, leaf_rule: str = HARD_MAP) -> DecodeRes
                 return np.ones((batch, leaf.length))
             return np.zeros((batch, leaf.length), dtype=np.uint8)
         if leaf_rule == SOFT_MAP:
-            llrs, _, _ = softmap_forward(leaf, feat)
+            llrs = softmap_forward(leaf, feat)
             bits = (llrs < 0).astype(np.uint8)
             out_llrs[:, leaf.lo:leaf.hi] = llrs
             cw = soft_reencode(leaf, stable_sigmoid(-llrs))

@@ -39,9 +39,11 @@ from .decoding import (
     DecodeResult,
     clip_llrs,
     leaf_decode_data,
+    max_log_llrs,
     require_finite,
     soft_reencode,
     softmap_forward,
+    softmap_scores,
 )
 
 PROFILES = {"standard": [32, 32, 32], "tiny": [4]}
@@ -183,18 +185,20 @@ def softmap_node(leaf: Leaf, feat: Node) -> Node:
     """Max-log per-bit LLRs of a leaf as a fused differentiable op.
 
     The subgradient routes through the two selected codewords of each bit:
-    d llr_i / d feat = signs[argmax0_i] - signs[argmax1_i].
+    d llr_i / d feat = signs[argmax0_i] - signs[argmax1_i]. Only the
+    pullback forms that argmax pair, from feat's value, so a forward pass
+    without a tape never scores the codebook.
     """
-    llrs, arg0, arg1 = softmap_forward(leaf, feat.value)
-    signs = leaf_decode_data(leaf.kind, leaf.m).signs
 
     def vjp(g):
+        data = leaf_decode_data(leaf.kind, leaf.m)
+        _, arg0, arg1 = max_log_llrs(softmap_scores(leaf, feat.value), data.mask0)
         dl = np.zeros_like(feat.value)
-        for i in range(llrs.shape[1]):
-            dl += g[:, i:i + 1] * (signs[arg0[:, i]] - signs[arg1[:, i]])
+        for i in range(g.shape[1]):
+            dl += g[:, i:i + 1] * (data.signs[arg0[:, i]] - data.signs[arg1[:, i]])
         return (dl,)
 
-    return ad.custom_op(llrs, (feat,), vjp)
+    return ad.custom_op(softmap_forward(leaf, feat.value), (feat,), vjp)
 
 
 def soft_reencode_node(leaf: Leaf, p_one: Node) -> Node:
@@ -204,11 +208,14 @@ def soft_reencode_node(leaf: Leaf, p_one: Node) -> Node:
 
     def vjp(g):
         t = 1.0 - 2.0 * p_one.value
-        dt = np.zeros_like(t)
+        dt = np.empty_like(t)
+        loo = np.empty_like(g)
         for i in range(gen.shape[0]):
-            others = np.delete(gen, i, axis=0)
-            loo = np.prod(np.where(others[None, :, :] == 1,
-                                   np.delete(t, i, axis=1)[:, :, None], 1.0), axis=1)
+            # the product over the other bits, multiplied in message-bit order
+            loo.fill(1.0)
+            for j in range(gen.shape[0]):
+                if j != i:
+                    loo *= np.where(gen[j] == 1, t[:, j:j + 1], 1.0)
             dt[:, i] = np.sum(g * gen[i][None, :] * loo, axis=1)
         return (-2.0 * dt,)
 

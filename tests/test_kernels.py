@@ -3,25 +3,53 @@
 Each reference below is the straightforward expression the kernel computes:
 the np.stack butterfly transform, the GF(2) matmul first-order encoder, the
 codeword rebuilt from a float Hadamard row, the arithmetic BPSK map and
-channel, the taped dense block and the np.prod soft re-encoder. The kernels
-must reproduce them bit for bit, not just to rounding.
+channel, the taped dense block, the np.prod soft re-encoder and its
+np.delete pullback, the brute-force max-log search over a leaf's codebook
+and the soft-MAP node that forms its argmax pair eagerly. The kernels must
+reproduce them bit for bit, not just to rounding.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plotkinlab import autodiff as ad
 from plotkinlab import bits as bits_module
+from plotkinlab import decoding as decoding_module
+from plotkinlab import ko as ko_module
 from plotkinlab.bits import as_bits, bpsk, hadamard_matrix, parity_table
 from plotkinlab.channel import awgn, bursty, rayleigh_fast, transmit
 from plotkinlab.codes import (
     FIRST_ORDER,
+    FROZEN,
     FULL_RATE,
     REPETITION,
     Leaf,
+    build_rm_tree,
     encode_first_order,
     leaf_generator,
 )
-from plotkinlab.decoding import FHT_TILE_ROWS, fht, fht_map_decode_rm1, soft_reencode
+from plotkinlab.decoding import (
+    FHT_TILE_ROWS,
+    SOFT_MAP,
+    dumer_decode,
+    fht,
+    fht_map_decode_rm1,
+    leaf_decode_data,
+    max_log_llrs,
+    soft_map_llrs,
+    soft_reencode,
+    softmap_forward,
+    softmap_scores,
+)
+from plotkinlab.ko import (
+    build_ko_model,
+    ko_decode,
+    save_checkpoint,
+    soft_reencode_node,
+    softmap_node,
+)
+from plotkinlab.training import TrainConfig, train
 
 TILE = FHT_TILE_ROWS
 SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.0e-308,
@@ -248,3 +276,156 @@ class TestSoftReencodeKernel:
                             size=int(hit.sum()))
         assert same_bits(soft_reencode(leaf, p), reference_soft_reencode(leaf, p))
         assert same_bits(soft_reencode(leaf, p[3]), reference_soft_reencode(leaf, p[3])[0])
+
+
+def reference_softmap(leaf, l):
+    """Max-log LLRs by brute force over every codeword score."""
+    return max_log_llrs(softmap_scores(leaf, l), leaf_decode_data(leaf.kind, leaf.m).mask0)[0]
+
+
+# Inputs that tie codeword scores: integers, +-1, signed zeros, all +0 or
+# all -0 rows, and magnitudes at the decoders' input clip.
+TIE_ALPHABETS = {
+    "gaussian": None,
+    "integers": np.arange(-3.0, 4.0),
+    "pm_one": np.array([-1.0, 1.0]),
+    "zeros_and_ones": np.array([0.0, -0.0, 1.0, -1.0]),
+    "plus_zero": np.array([0.0]),
+    "minus_zero": np.array([-0.0]),
+    "near_limit": np.array([1e300, -1e300]),
+}
+
+
+def tie_input(rng, alphabet, rows, n):
+    values = TIE_ALPHABETS[alphabet]
+    if values is None:
+        return rng.standard_normal((rows, n))
+    return rng.choice(values, size=(rows, n))
+
+
+def first_order(m):
+    return Leaf(FIRST_ORDER, m, 0, m + 1)
+
+
+class TestFirstOrderSoftMap:
+    """The closed-form first-order softmap_forward against the brute-force
+    max-log search, sign of zero included."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 10), rows=st.integers(0, 4),
+           alphabet=st.sampled_from(sorted(TIE_ALPHABETS)), seed=st.integers(0, 2**32 - 1))
+    def test_property_bit_identical(self, m, rows, alphabet, seed):
+        l = tie_input(np.random.default_rng(seed), alphabet, rows, 1 << m)
+        assert same_bits(softmap_forward(first_order(m), l), reference_softmap(first_order(m), l))
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    @pytest.mark.parametrize("alphabet", sorted(TIE_ALPHABETS))
+    def test_tie_inputs_bit_identical(self, m, alphabet):
+        rng = np.random.default_rng(m)
+        for rows in (0, 1, 9):
+            l = tie_input(rng, alphabet, rows, 1 << m)
+            got = softmap_forward(first_order(m), l)
+            assert got.shape == (rows, m + 1)
+            assert same_bits(got, reference_softmap(first_order(m), l)), rows
+
+    @pytest.mark.parametrize("m", [1, 2, 7])
+    def test_zero_rows_across_tiles(self, m):
+        rng = np.random.default_rng(300 + m)
+        l = rng.standard_normal((TILE + 5, 1 << m))
+        for row in (0, TILE - 1, TILE, TILE + 3):
+            l[row] = rng.choice([0.0, -0.0], size=1 << m)
+        assert same_bits(softmap_forward(first_order(m), l), reference_softmap(first_order(m), l))
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_single_row(self, m):
+        rng = np.random.default_rng(400 + m)
+        for alphabet in ("gaussian", "zeros_and_ones", "minus_zero"):
+            l = tie_input(rng, alphabet, 1, 1 << m)
+            assert same_bits(soft_map_llrs(first_order(m), l[0]), reference_softmap(first_order(m), l)[0])
+
+    def test_frozen_leaf_raises(self):
+        with pytest.raises(ValueError):
+            softmap_forward(Leaf(FROZEN, 2, 0, 0), np.zeros((1, 4)))
+
+
+def eager_softmap_node(leaf, feat):
+    """softmap_node as it was: the argmax pair formed in the forward pass."""
+    data = leaf_decode_data(leaf.kind, leaf.m)
+    llrs, arg0, arg1 = max_log_llrs(softmap_scores(leaf, feat.value), data.mask0)
+
+    def vjp(g):
+        dl = np.zeros_like(feat.value)
+        for i in range(llrs.shape[1]):
+            dl += g[:, i:i + 1] * (data.signs[arg0[:, i]] - data.signs[arg1[:, i]])
+        return (dl,)
+
+    return ad.custom_op(llrs, (feat,), vjp)
+
+
+def reference_reencode_vjp(leaf, p, g):
+    """soft_reencode_node's pullback as it was: the B x (k-1) x length
+    leave-one-out product over np.delete copies."""
+    gen = leaf_generator(leaf)
+    t = 1.0 - 2.0 * p
+    dt = np.zeros_like(t)
+    for i in range(gen.shape[0]):
+        others = np.delete(gen, i, axis=0)
+        loo = np.prod(np.where(others[None, :, :] == 1,
+                               np.delete(t, i, axis=1)[:, :, None], 1.0), axis=1)
+        dt[:, i] = np.sum(g * gen[i][None, :] * loo, axis=1)
+    return -2.0 * dt
+
+
+class TestLeafPullbacks:
+    @pytest.mark.parametrize("leaf", SOFT_LEAVES, ids=lambda lf: lf.label())
+    @pytest.mark.parametrize("alphabet", ["gaussian", "integers", "zeros_and_ones", "minus_zero"])
+    def test_softmap_gradient_matches_eager_argmax(self, leaf, alphabet):
+        rng = np.random.default_rng(leaf.length + leaf.k)
+        x = tie_input(rng, alphabet, 33, leaf.length)
+        g = rng.standard_normal((33, leaf.k))
+        lazy = softmap_node(leaf, ad.var(x))
+        eager = eager_softmap_node(leaf, ad.var(x))
+        assert same_bits(lazy.value, eager.value)
+        assert same_bits(lazy.vjp(g)[0], eager.vjp(g)[0])
+
+    @pytest.mark.parametrize("leaf", SOFT_LEAVES, ids=lambda lf: lf.label())
+    def test_reencode_gradient_matches_leave_one_out_product(self, leaf):
+        rng = np.random.default_rng(500 + leaf.length + leaf.k)
+        p = rng.random((65, leaf.k))
+        hit = rng.random(p.shape) < 0.2
+        p[hit] = rng.choice([0.0, 1.0, 0.5, -0.0, 5e-324, 1.0 - 2**-53, 1e-300],
+                            size=int(hit.sum()))
+        g = rng.standard_normal((65, leaf.length))
+        node = soft_reencode_node(leaf, ad.var(p))
+        assert same_bits(node.vjp(g)[0], reference_reencode_vjp(leaf, p, g))
+
+    def test_inference_scores_no_first_order_codebook(self, monkeypatch):
+        """Soft Dumer and untaped KO decoding score the codebook of the
+        RM(2,2) leaf alone; first-order leaves take the closed form."""
+        scored = []
+
+        def recording(scores, bit_is_zero):
+            scored.append(scores.shape[1])
+            return max_log_llrs(scores, bit_is_zero)
+
+        monkeypatch.setattr(decoding_module, "max_log_llrs", recording)
+        monkeypatch.setattr(ko_module, "max_log_llrs", recording)
+        y = np.random.default_rng(8).standard_normal((4, 256))
+        dumer_decode(build_rm_tree(8, 2), y, SOFT_MAP)
+        ko_decode(build_ko_model(build_rm_tree(8, 2), {"family": "rm", "m": 8, "r": 2},
+                                 "tiny", seed=1), y)
+        assert scored == [16, 16]
+
+    def test_training_checkpoint_matches_eager_argmax(self, tmp_path, monkeypatch):
+        cfg = TrainConfig(epochs=1, dec_steps=2, enc_steps=2, batch_size=16, seed=5)
+
+        def trained_bytes(path):
+            model = build_ko_model(build_rm_tree(8, 2), {"family": "rm", "m": 8, "r": 2},
+                                   "tiny", seed=2)
+            train(model, cfg)
+            save_checkpoint(model, path)
+            return path.read_bytes()
+
+        lazy = trained_bytes(tmp_path / "lazy.json")
+        monkeypatch.setattr(ko_module, "softmap_node", eager_softmap_node)
+        assert trained_bytes(tmp_path / "eager.json") == lazy

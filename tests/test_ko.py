@@ -145,7 +145,7 @@ class TestKoDecode:
 
         def recording(leaf, feat):
             out = softmap_forward(leaf, feat)
-            leaf_llrs[leaf] = out[0]
+            leaf_llrs[leaf] = out
             return out
 
         monkeypatch.setattr(ko_module, "softmap_forward", recording)
