@@ -10,6 +10,7 @@ success, 2 on usage errors and 1 on runtime failures.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import re
@@ -18,12 +19,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .codes import build_polar_tree, build_rm_tree, polar_spec, rm_spec
+from .codes import polar_spec, rm_spec
 from .evaluation import (
     UnsupportedDecoder,
     bler_decomposition,
     check_decoder,
     count_decode_ops,
+    gaussian_codebook,
     ko_system,
     pairwise_distance_histogram,
     polar_system,
@@ -31,8 +33,16 @@ from .evaluation import (
     rm_system,
     simulate_error_rates,
 )
-from .ko import build_ko_model, load_checkpoint, save_checkpoint
-from .training import TrainConfig, train
+from .ko import build_ko_model, load_checkpoint, save_checkpoint, tree_for_code
+from .training import TRAIN_MODES, TrainConfig, TrainingDiverged, train
+
+# Longest SNR grid `simulate --snr lo:step:hi` takes.
+MAX_SNR_POINTS = 1000
+
+# TrainConfig fields that train takes as flags or from its --config file.
+TRAIN_FIELDS = {"epochs": int, "dec_steps": int, "enc_steps": int, "snr_dec": float,
+                "snr_enc": float, "lr_dec": float, "lr_enc": float, "batch_size": int,
+                "seed": int, "clip_norm": float, "mode": str}
 
 
 class UsageError(ValueError):
@@ -42,7 +52,10 @@ class UsageError(ValueError):
 def default_threads() -> int:
     env = os.environ.get("PLOTKINLAB_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise UsageError(f"PLOTKINLAB_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -63,21 +76,29 @@ nonnegative_int = _int_at_least(0)
 
 
 def parse_snr_grid(text: str) -> list[float]:
-    """Parse 'lo:step:hi' (inclusive) or a single dB value."""
+    """Parse 'lo:step:hi' (inclusive, at most MAX_SNR_POINTS points) or a
+    single dB value; every value must be finite."""
     parts = text.split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) != 3:
-        raise UsageError(f"bad SNR grid {text!r}; use lo:step:hi or a single value")
-    lo, step, hi = (float(p) for p in parts)
-    if step <= 0:
-        raise UsageError("SNR grid step must be positive")
+    _require(len(parts) in (1, 3), f"bad SNR grid {text!r}; use lo:step:hi or a single value")
+    values = [finite_float(p) for p in parts]
+    if len(values) == 1:
+        return values
+    lo, step, hi = values
+    _require(step > 0, "SNR grid step must be positive")
     grid = []
     value = lo
     while value <= hi + 1e-9:
+        _require(len(grid) < MAX_SNR_POINTS, f"SNR grid has over {MAX_SNR_POINTS} points")
         grid.append(round(value, 10))
         value += step
     return grid
+
+
+def finite_float(text: str) -> float:
+    """argparse type and SNR grid value: a finite number."""
+    value = float(text)
+    _require(np.isfinite(value), f"{text!r} is not a finite number")
+    return value
 
 
 def provenance(argv: list[str]) -> str:
@@ -160,13 +181,20 @@ def write_real_file(path: str, data: np.ndarray, fmt: str, header: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _code_spec(args):
-    """The rm_spec or polar_spec that --code rm/polar and its flags name."""
-    if args.code == "rm":
-        _require(args.m is not None and args.r is not None, "--code rm needs --m and --r")
-        return _from_flags(rm_spec, args.m, args.r)
-    if args.code == "polar":
-        _require(args.n is not None and args.k is not None, "--code polar needs --n and --k")
-        return _from_flags(polar_spec, args.n, args.k, args.design_z0)
+    """The rm_spec or polar_spec that --code rm/polar and its flags name, and
+    the code description that tree_for_code builds its tree from and a KO
+    checkpoint stores. A rejected parameter (say, a code beyond the size
+    limit) is a usage error."""
+    try:
+        if args.code == "rm":
+            _require(args.m is not None and args.r is not None, "--code rm needs --m and --r")
+            return rm_spec(args.m, args.r), {"family": "rm", "m": args.m, "r": args.r}
+        if args.code == "polar":
+            _require(args.n is not None and args.k is not None, "--code polar needs --n and --k")
+            return (polar_spec(args.n, args.k, args.design_z0),
+                    {"family": "polar", "n": args.n, "k": args.k, "design_z0": args.design_z0})
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     raise UsageError(f"unknown code {args.code!r}")
 
 
@@ -179,7 +207,7 @@ def _load_system(args):
     if args.code == "ko":
         check_decoder("ko", args.decoder)
         return ko_system(_load_model(args), binarized=args.binarized)
-    spec = _code_spec(args)
+    spec, _ = _code_spec(args)
     if args.code == "rm":
         return rm_system(spec.m, spec.r, args.decoder or "dumer")
     return polar_system(spec, args.decoder or "sc")
@@ -188,15 +216,6 @@ def _load_system(args):
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise UsageError(message)
-
-
-def _from_flags(build, *params):
-    """build(*params) on code parameters given as flags, where a rejected
-    parameter (say, a code beyond the size limit) is a usage error."""
-    try:
-        return build(*params)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -210,14 +229,11 @@ def cmd_codes_info(args, argv) -> int:
         extra = {"profile": model.profile, "neuralize": model.neuralize,
                  "parameters": sum(p.size for p in model.encoder_params()
                                    + model.decoder_params())}
-    elif args.code == "rm":
-        spec = _code_spec(args)
-        tree = build_rm_tree(spec.m, spec.r)
-        extra = {"min_distance": spec.min_distance}
     else:
-        spec = _code_spec(args)
-        tree = build_polar_tree(spec)
-        extra = {"design_z0": spec.design_z0, "active_set": list(spec.active_set)}
+        spec, code = _code_spec(args)
+        tree = tree_for_code(code)
+        extra = ({"min_distance": spec.min_distance} if args.code == "rm" else
+                 {"design_z0": spec.design_z0, "active_set": list(spec.active_set)})
     info = {"code": tree.label, "n": tree.n, "k": tree.k, "rate": tree.k / tree.n,
             "tree": tree.to_dict(), **extra}
     if args.json:
@@ -245,10 +261,7 @@ def cmd_decode(args, argv) -> int:
     """Decode a file of channel LLRs (rm, polar) or raw received symbols (ko)."""
     system = _load_system(args)
     data = read_real_file(args.infile, args.format, system.n)
-    if system.decode_llrs is None:
-        bits = system.decode(data, None)
-    else:
-        bits = system.decode_llrs(data)
+    bits = system.decode(data, None) if system.decode_llrs is None else system.decode_llrs(data)
     write_bits_file(args.outfile, bits, provenance(argv))
     return 0
 
@@ -261,7 +274,7 @@ def cmd_simulate(args, argv) -> int:
         system, args.channel, grid, min_blocks=args.blocks,
         min_block_errors=args.min_block_errors, max_blocks=args.max_blocks,
         seed=args.seed, burst_prob=args.burst_prob,
-        burst_sigma_mult=args.burst_sigma_mult, threads=args.threads)
+        burst_sigma_mult=args.burst_sigma_mult, threads=args.threads or default_threads())
     if args.out:
         results_to_csv(results, args.out, provenance(argv))
     if args.json:
@@ -275,32 +288,33 @@ def cmd_simulate(args, argv) -> int:
     return 0
 
 
-def cmd_train(args, argv) -> int:
-    cfg_fields = {f: getattr(args, f) for f in (
-        "epochs", "dec_steps", "enc_steps", "snr_dec", "snr_enc", "lr_dec",
-        "lr_enc", "batch_size", "seed", "mode", "clip_norm")
-        if getattr(args, f) is not None}
+def _train_config(args) -> TrainConfig:
+    """TrainConfig from train's flags; its --config file fills the fields they leave unset."""
+    fields = {f: getattr(args, f) for f in TRAIN_FIELDS if getattr(args, f) is not None}
+    doc = {}
     if args.config:
         with open(args.config) as fh:
-            file_cfg = json.load(fh)
-        for key, val in file_cfg.items():
-            cfg_fields.setdefault(key, val)
-    cfg = TrainConfig(**cfg_fields)
+            doc = json.load(fh)
+        _require(isinstance(doc, dict), f"{args.config}: not a JSON object")
+    for key, val in doc.items():
+        _require(key in TRAIN_FIELDS, f"{args.config}: unknown field {key!r}")
+        # null keeps a field's default; an int may stand for a float, a bool for nothing
+        _require(val is None or type(val) in (TRAIN_FIELDS[key], int),
+                 f"{args.config}: {key} must be {TRAIN_FIELDS[key].__name__}, got {val!r}")
+        if val is not None:
+            fields.setdefault(key, val)
+    return TrainConfig(**fields)
+
+
+def cmd_train(args, argv) -> int:
+    cfg = _train_config(args)
     if args.init_checkpoint:
         model = load_checkpoint(args.init_checkpoint)
     else:
-        if args.polar:
-            n, k = args.polar
-            code = {"family": "polar", "n": n, "k": k, "design_z0": args.design_z0}
-            tree = build_polar_tree(_from_flags(polar_spec, n, k, args.design_z0))
-            neuralize = "all_but_root"
-        else:
-            _require(args.m is not None and args.r is not None,
-                     "train needs --m/--r or --polar N K or --init-checkpoint")
-            code = {"family": "rm", "m": args.m, "r": args.r}
-            tree = _from_flags(build_rm_tree, args.m, args.r)
-            neuralize = "all_internal"
-        model = build_ko_model(tree, code, args.profile, neuralize, seed=cfg.seed)
+        _, code = _code_spec(args)
+        model = build_ko_model(tree_for_code(code), code, args.profile,
+                               "all_internal" if args.code == "rm" else "all_but_root",
+                               seed=cfg.seed)
     model, log = train(model, cfg, channel_kind=args.channel)
     save_checkpoint(model, args.checkpoint)
     log.checkpoint_path = args.checkpoint
@@ -317,10 +331,7 @@ def cmd_train(args, argv) -> int:
 def cmd_analyze_pairwise(args, argv) -> int:
     rng = np.random.default_rng(args.seed)
     if args.code == "gaussian":
-        _require(args.n is not None and args.k is not None,
-                 "--code gaussian needs --n and --k")
-        from .evaluation import gaussian_codebook
-
+        _require(args.n is not None and args.k is not None, "--code gaussian needs --n and --k")
         codebook = gaussian_codebook(args.n, args.k, rng)
 
         def encode(msgs):
@@ -350,6 +361,13 @@ def cmd_analyze_bler(args, argv) -> int:
     contribs, bler = bler_decomposition(system, args.channel, args.snr_value,
                                         args.blocks, args.seed, args.burst_prob,
                                         args.burst_sigma_mult)
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
+            fh.write(f"# {provenance(argv)}\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["leaf", "first_error_blocks", "fraction"])
+            for c in contribs:
+                writer.writerow([c.label, c.first_error_blocks, repr(c.fraction)])
     if args.json:
         print(json.dumps({"bler": bler,
                           "contributions": [vars(c) for c in contribs]},
@@ -360,15 +378,6 @@ def cmd_analyze_bler(args, argv) -> int:
         print(f"{c.label:<10} {c.first_error_blocks:>20} {c.fraction:>12.6g}")
     total = sum(c.first_error_blocks for c in contribs)
     print(f"{'total':<10} {total:>20} {bler:>12.6g}")
-    if args.out:
-        import csv
-
-        with open(args.out, "w", newline="") as fh:
-            fh.write(f"# {provenance(argv)}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["leaf", "first_error_blocks", "fraction"])
-            for c in contribs:
-                writer.writerow([c.label, c.first_error_blocks, repr(c.fraction)])
     return 0
 
 
@@ -392,14 +401,19 @@ def cmd_analyze_opcount(args, argv) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_code_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--code", required=True,
-                   choices=["rm", "polar", "ko", "gaussian"])
+def _add_spec_args(p: argparse.ArgumentParser) -> None:
+    """The flags _code_spec reads for --code rm and polar."""
     p.add_argument("--m", type=int)
     p.add_argument("--r", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--design-z0", dest="design_z0", type=float, default=0.5)
+
+
+def _add_code_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--code", required=True,
+                   choices=["rm", "polar", "ko", "gaussian"])
+    _add_spec_args(p)
     p.add_argument("--checkpoint")
     p.add_argument("--decoder",
                    choices=["dumer", "dumer-soft", "map", "fht-map", "sc", "ko"])
@@ -456,17 +470,16 @@ def build_parser() -> argparse.ArgumentParser:
                        type=nonnegative_int, default=100)
     p_sim.add_argument("--max-blocks", dest="max_blocks", type=positive_int)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--threads", type=positive_int, default=default_threads())
+    p_sim.add_argument("--threads", type=positive_int,
+                       help="worker threads (default: $PLOTKINLAB_THREADS or the CPU count)")
     p_sim.add_argument("--json", action="store_true")
     p_sim.add_argument("--out")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_train = sub.add_parser("train", help="train a KO model")
-    p_train.add_argument("--code", default="ko", choices=["ko"])
-    p_train.add_argument("--m", type=int)
-    p_train.add_argument("--r", type=int)
-    p_train.add_argument("--polar", nargs=2, type=int, metavar=("N", "K"))
-    p_train.add_argument("--design-z0", dest="design_z0", type=float, default=0.5)
+    p_train.add_argument("--code", default="rm", choices=["rm", "polar"],
+                         help="the KO model's skeleton")
+    _add_spec_args(p_train)
     p_train.add_argument("--profile", default="standard",
                          choices=["standard", "tiny"])
     p_train.add_argument("--config", help="JSON file mirroring TrainConfig fields")
@@ -475,12 +488,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--init-checkpoint", dest="init_checkpoint")
     p_train.add_argument("--checkpoint", required=True, help="output model path")
     p_train.add_argument("--log", help="per-step CSV log path")
-    for field, typ in (("epochs", int), ("dec_steps", int), ("enc_steps", int),
-                       ("snr_dec", float), ("snr_enc", float), ("lr_dec", float),
-                       ("lr_enc", float), ("batch_size", int), ("seed", int),
-                       ("clip_norm", float)):
-        p_train.add_argument(f"--{field.replace('_', '-')}", dest=field, type=typ)
-    p_train.add_argument("--mode", choices=["alternating", "encoder_only_softmap"])
+    for field, typ in TRAIN_FIELDS.items():
+        p_train.add_argument(f"--{field.replace('_', '-')}", dest=field,
+                             type=finite_float if typ is float else typ,
+                             choices=TRAIN_MODES if field == "mode" else None)
     p_train.set_defaults(func=cmd_train)
 
     p_an = sub.add_parser("analyze", help="code and decoder analyses")
@@ -502,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="per-leaf first-error contributions")
     _add_code_args(p_bd)
     _add_channel_args(p_bd)
-    p_bd.add_argument("--snr", dest="snr_value", type=float, required=True)
+    p_bd.add_argument("--snr", dest="snr_value", type=finite_float, required=True)
     p_bd.add_argument("--blocks", type=positive_int, default=10000)
     p_bd.add_argument("--seed", type=int, default=0)
     p_bd.add_argument("--json", action="store_true")
@@ -531,16 +542,12 @@ def _attach_snr_values(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(_attach_snr_values(argv))
+        args = build_parser().parse_args(_attach_snr_values(argv))
         return args.func(args, argv)
-    except (UsageError, UnsupportedDecoder) as exc:
+    except (ValueError, OSError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (UsageError, UnsupportedDecoder)) else 1
 
 
 if __name__ == "__main__":

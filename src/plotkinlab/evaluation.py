@@ -7,6 +7,7 @@ independent of how chunks are scheduled across threads.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -256,69 +257,45 @@ def simulate_error_rates(system: CodeSystem, channel_kind: str, snr_grid,
     """
     if min_blocks < 1:
         raise ValueError("min_blocks must be >= 1")
-    cap = max(max_blocks if max_blocks is not None else 100 * min_blocks,
-              min_blocks)
+    cap = max(max_blocks if max_blocks is not None else 100 * min_blocks, min_blocks)
     results = []
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
         for snr_index, snr_db in enumerate(snr_grid):
-            sigma = snr_to_sigma(snr_db)
-            ch = make_channel(channel_kind, sigma, burst_prob, burst_sigma_mult)
-            blocks = bit_errors = block_errors = 0
-            chunk_index = 0
-
-            def run_round(sizes):
-                nonlocal blocks, bit_errors, block_errors, chunk_index
-                args = [(system, ch, sigma, seed, snr_index, chunk_index + i, b)
-                        for i, b in enumerate(sizes)]
-                chunk_index += len(sizes)
-                outs = (pool.map(_run_chunk_star, args) if pool
-                        else map(_run_chunk_star, args))
-                for nb, be, ble in outs:
-                    blocks += nb
-                    bit_errors += be
-                    block_errors += ble
-
-            plan = []
-            budget = min_blocks
-            while budget > 0:
-                plan.append(min(CHUNK_BLOCKS, budget))
-                budget -= plan[-1]
-            run_round(plan)
-            while block_errors < min_block_errors and blocks < cap:
-                sizes = []
-                budget = cap - blocks
-                while budget > 0 and len(sizes) < STOP_CHECK_CHUNKS:
-                    sizes.append(min(CHUNK_BLOCKS, budget))
-                    budget -= sizes[-1]
-                run_round(sizes)
+            ch = make_channel(channel_kind, snr_to_sigma(snr_db), burst_prob, burst_sigma_mult)
+            blocks = bit_errors = block_errors = chunks = 0
+            sizes = _chunk_sizes(min_blocks)
+            while sizes:
+                for msgs, decoded in run_chunks(system, ch, seed, snr_index, chunks, sizes, pool):
+                    diffs = decoded != msgs
+                    blocks += len(msgs)
+                    bit_errors += int(diffs.sum())
+                    block_errors += int(diffs.any(axis=1).sum())
+                chunks += len(sizes)
+                sizes = (_chunk_sizes(min(cap - blocks, STOP_CHECK_CHUNKS * CHUNK_BLOCKS))
+                         if block_errors < min_block_errors else [])
             results.append(SimResult.from_counts(
                 float(snr_db), blocks, bit_errors, block_errors, system.k,
                 system.name, system.decoder_name, channel_kind, seed))
-    finally:
-        if pool:
-            pool.shutdown()
     return results
 
 
-def _run_chunk_star(args):
-    return _run_chunk(*args)
+def _chunk_sizes(blocks: int) -> list[int]:
+    """CHUNK_BLOCKS-sized chunks covering blocks, the last one short."""
+    return [min(CHUNK_BLOCKS, blocks - done) for done in range(0, blocks, CHUNK_BLOCKS)]
 
 
-def _chunk_blocks(system: CodeSystem, ch: Channel, seed: int, snr_index: int,
-                  chunk_index: int, blocks: int):
-    """The messages of one chunk and their received symbols."""
-    rng = np.random.default_rng([seed, snr_index, chunk_index])
-    msgs = rng.integers(0, 2, size=(blocks, system.k), dtype=np.uint8)
-    return msgs, transmit(system.encode(msgs), ch, rng)
+def run_chunks(system: CodeSystem, ch: Channel, seed: int, snr_index: int,
+               first: int, sizes: list[int], pool: ThreadPoolExecutor | None = None):
+    """(messages, decoded bits) of each chunk, in chunk order, through the
+    pool when there is one. Chunk first + i has sizes[i] blocks and draws
+    its messages and noise from the generator seeded by
+    [seed, snr_index, first + i]."""
+    def run(i):
+        rng = np.random.default_rng([seed, snr_index, first + i])
+        msgs = rng.integers(0, 2, size=(sizes[i], system.k), dtype=np.uint8)
+        return msgs, system.decode(transmit(system.encode(msgs), ch, rng), ch.sigma)
 
-
-def _run_chunk(system: CodeSystem, ch: Channel, sigma: float, seed: int,
-               snr_index: int, chunk_index: int, blocks: int):
-    msgs, y = _chunk_blocks(system, ch, seed, snr_index, chunk_index, blocks)
-    decoded = system.decode(y, sigma)
-    diffs = decoded != msgs
-    return blocks, int(diffs.sum()), int(diffs.any(axis=1).sum())
+    return (pool.map if pool else map)(run, range(len(sizes)))
 
 
 # ---------------------------------------------------------------------------
@@ -349,14 +326,10 @@ def bler_decomposition(system: CodeSystem, channel_kind: str, snr_db: float,
                                  f"leaf ({', '.join(LEAF_DECODERS)}), not "
                                  f"{system.decoder_name!r}")
     leaves = system.tree.message_leaves()
-    sigma = snr_to_sigma(snr_db)
-    ch = make_channel(channel_kind, sigma, burst_prob, burst_sigma_mult)
+    ch = make_channel(channel_kind, snr_to_sigma(snr_db), burst_prob, burst_sigma_mult)
     counts = np.zeros(len(leaves), dtype=np.int64)
     total_block_errors = 0
-    for chunk_index, done in enumerate(range(0, blocks, CHUNK_BLOCKS)):
-        msgs, y = _chunk_blocks(system, ch, seed, 0, chunk_index,
-                                min(CHUNK_BLOCKS, blocks - done))
-        decoded = system.decode(y, sigma)
+    for msgs, decoded in run_chunks(system, ch, seed, 0, 0, _chunk_sizes(blocks)):
         wrong = np.stack([(decoded[:, lf.lo:lf.hi] != msgs[:, lf.lo:lf.hi]).any(axis=1)
                           for lf in leaves], axis=1)
         any_wrong = wrong.any(axis=1)

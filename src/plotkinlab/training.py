@@ -27,6 +27,7 @@ from .ko import KoModel, bind, ko_decode_graph, ko_encode_graph
 
 ALTERNATING = "alternating"
 ENCODER_ONLY_SOFTMAP = "encoder_only_softmap"
+TRAIN_MODES = (ALTERNATING, ENCODER_ONLY_SOFTMAP)
 
 MAX_FULL_CODEBOOK_K = 16
 
@@ -56,7 +57,7 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.lr_dec <= 0 or self.lr_enc <= 0:
             raise ValueError("learning rates must be positive")
-        if self.mode not in (ALTERNATING, ENCODER_ONLY_SOFTMAP):
+        if self.mode not in TRAIN_MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.clip_norm is not None and self.clip_norm <= 0:
             raise ValueError("clip_norm must be positive")

@@ -32,6 +32,35 @@ class TestSnrGrid:
         with pytest.raises(UsageError):
             parse_snr_grid("1:2")
 
+    # Each of these once looped forever, growing the grid without bound,
+    # or passed a NaN noise level on to the channel.
+    @pytest.mark.parametrize("text", ["inf:1:inf", "-inf:1:0", "0:1e-300:1", "1e20:1:2e20",
+                                      "0:inf:1", "0:nan:1", "nan", "inf", "-inf"])
+    def test_non_finite_and_runaway_grids(self, text):
+        from plotkinlab.cli import UsageError
+
+        with pytest.raises(UsageError):
+            parse_snr_grid(text)
+
+    def test_point_limit(self):
+        from plotkinlab.cli import MAX_SNR_POINTS, UsageError
+
+        assert len(parse_snr_grid(f"1:1:{MAX_SNR_POINTS}")) == MAX_SNR_POINTS
+        with pytest.raises(UsageError):
+            parse_snr_grid(f"0:1:{MAX_SNR_POINTS}")
+
+    def test_bad_grid_is_clean_usage_error(self, tmp_path):
+        out = tmp_path / "sim.csv"
+        status, err = run_captured(["simulate", "--code", "rm", "--m", "3", "--r", "1",
+                                    "--snr", "nan", "--out", str(out)])
+        assert status == 2
+        assert_clean_failure(status, err, out)
+        with pytest.raises(SystemExit) as exc:
+            run(["analyze", "bler-decomposition", "--code", "rm", "--m", "3", "--r", "1",
+                 "--snr", "nan", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
 
 class TestCodesInfo:
     def test_rm_8_2_values(self, capsys):
@@ -187,7 +216,7 @@ class TestTrainCommand:
 
     def test_train_polar_variant(self, tmp_path):
         ckpt = tmp_path / "kopolar.json"
-        assert run(["train", "--polar", "16", "5", "--profile", "tiny",
+        assert run(["train", "--code", "polar", "--n", "16", "--k", "5", "--profile", "tiny",
                     "--epochs", "1", "--dec-steps", "1", "--enc-steps", "1",
                     "--snr-dec", "0", "--snr-enc", "0", "--batch-size", "16",
                     "--seed", "3", "--checkpoint", str(ckpt)]) == 0
@@ -208,6 +237,41 @@ class TestTrainCommand:
                     "--checkpoint", str(ckpt)]) == 0
         assert ckpt.exists()
 
+    @pytest.mark.parametrize("doc", ['{"epochs": 1, "bogus": 2}', "[1, 2]", '{"epochs": "x"}',
+                                     '{"seed": 1.5}', '{"epochs": true}'])
+    def test_bad_config_is_usage_error(self, tmp_path, doc):
+        cfg = tmp_path / "train.json"
+        cfg.write_text(doc)
+        ckpt = tmp_path / "m.json"
+        status, err = run_captured(["train", "--m", "3", "--r", "1", "--profile", "tiny",
+                                    "--dec-steps", "0", "--enc-steps", "0",
+                                    "--config", str(cfg), "--checkpoint", str(ckpt)])
+        assert status == 2
+        assert_clean_failure(status, err, ckpt)
+
+    def test_diverged_training_is_runtime_error(self, tmp_path):
+        cfg = tmp_path / "train.json"
+        cfg.write_text('{"snr_dec": NaN}')
+        ckpt = tmp_path / "m.json"
+        argv = ["train", "--m", "2", "--r", "1", "--profile", "tiny", "--epochs", "1",
+                "--dec-steps", "1", "--enc-steps", "0", "--batch-size", "4",
+                "--checkpoint", str(ckpt)]
+        with pytest.warns(RuntimeWarning):
+            status, err = run_captured(argv + ["--config", str(cfg)])
+        assert status == 1 and "non-finite loss" in err
+        assert_clean_failure(status, err, ckpt)
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--snr-dec", "nan"])
+        assert exc.value.code == 2
+        assert not ckpt.exists()
+
+    def test_config_null_leaves_the_default(self, tmp_path):
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"epochs": 1, "dec_steps": 1, "enc_steps": 0, "lr_dec": 1,
+                                   "batch_size": 4, "snr_dec": None, "clip_norm": None}))
+        assert run(["train", "--m", "2", "--r", "1", "--profile", "tiny",
+                    "--config", str(cfg), "--checkpoint", str(tmp_path / "m.json")]) == 0
+
 
 class TestAnalyzeCommands:
     def test_bler_decomposition_sums(self, tmp_path, capsys):
@@ -227,6 +291,21 @@ class TestAnalyzeCommands:
         assert parsed[0] == ["leaf", "first_error_blocks", "fraction"]
         for label, blocks, fraction in parsed[1:]:
             assert int(blocks) >= 0 and 0.0 <= float(fraction) <= 1.0
+
+    def test_bler_decomposition_json_also_writes_out(self, tmp_path, capsys):
+        import csv
+
+        out_csv = tmp_path / "bler.csv"
+        assert run(["analyze", "bler-decomposition", "--code", "rm", "--m", "4",
+                    "--r", "2", "--snr", "-2", "--blocks", "500", "--json",
+                    "--out", str(out_csv)]) == 0
+        contribs = json.loads(capsys.readouterr().out)["contributions"]
+        lines = out_csv.read_text().splitlines()
+        assert lines[0].startswith("# ")
+        rows = list(csv.reader(lines[1:]))
+        assert rows[0] == ["leaf", "first_error_blocks", "fraction"]
+        assert rows[1:] == [[c["label"], str(c["first_error_blocks"]), repr(c["fraction"])]
+                            for c in contribs]
 
     @pytest.mark.parametrize("code", [
         ["rm", "--m", "5", "--r", "1", "--decoder", "map"],
@@ -385,6 +464,14 @@ class TestNumericBoundaries:
         assert err.value.code == 2
         assert not out.exists()
 
+    def test_bad_thread_variable_is_usage_error(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PLOTKINLAB_THREADS", "abc")
+        out = tmp_path / "sim.csv"
+        status, err = run_captured(["simulate", "--code", "rm", "--m", "3", "--r", "1",
+                                    "--snr", "0", "--blocks", "10", "--out", str(out)])
+        assert status == 2 and "PLOTKINLAB_THREADS" in err
+        assert_clean_failure(status, err, out)
+
     def test_zero_min_block_errors_accepted(self, tmp_path):
         out = tmp_path / "sim.csv"
         assert run(["simulate", "--code", "rm", "--m", "3", "--r", "1",
@@ -483,7 +570,7 @@ class TestCodeSizeLimit:
         ["codes", "info", "--code", "rm", "--m", "30", "--r", "15"],
         ["codes", "info", "--code", "polar", "--n", "2048", "--k", "7"],
         ["train", "--m", "30", "--r", "15", "--checkpoint", "OUT"],
-        ["train", "--polar", "4096", "7", "--checkpoint", "OUT"],
+        ["train", "--code", "polar", "--n", "4096", "--k", "7", "--checkpoint", "OUT"],
     ], ids=["simulate-rm", "simulate-polar", "bler-rm", "info-rm", "info-polar",
             "train-rm", "train-polar"])
     def test_oversized_code_is_usage_error(self, tmp_path, argv):

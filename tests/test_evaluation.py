@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from plotkinlab import evaluation
+from plotkinlab.channel import make_channel, snr_to_sigma, transmit
 from plotkinlab.codes import build_rm_tree, enumerate_codebook, polar_spec
 from plotkinlab.evaluation import (
     DECODERS,
@@ -117,6 +118,80 @@ class TestSimulate:
         assert len(lines) == 3
         fields = lines[2].split(",")
         assert float(fields[0]) == 0.0 and float(fields[4]) == results[0].ber
+
+
+def oracle_counts(system, channel, snr_db, seed, snr_index, sizes):
+    """Cumulative (blocks, bit errors, block errors) after each chunk, each
+    chunk run on its own: chunk i draws from the generator seeded by
+    [seed, snr_index, i]."""
+    sigma = snr_to_sigma(snr_db)
+    ch = make_channel(channel, sigma)
+    totals, out = np.zeros(3, dtype=np.int64), []
+    for i, size in enumerate(sizes):
+        rng = np.random.default_rng([seed, snr_index, i])
+        msgs = rng.integers(0, 2, size=(size, system.k), dtype=np.uint8)
+        diffs = system.decode(transmit(system.encode(msgs), ch, rng), sigma) != msgs
+        totals += (size, diffs.sum(), diffs.any(axis=1).sum())
+        out.append(tuple(int(t) for t in totals))
+    return out
+
+
+class TestChunkStreams:
+    """Chunk i of an SNR point draws from [seed, snr_index, i], whatever the
+    size of the chunks before it. With 37-block chunks, a first plan of 50
+    blocks runs chunks 0-1 (37 + 13 blocks); each early-stop round then runs
+    up to STOP_CHECK_CHUNKS = 4 chunks, so the rule is checked after chunks
+    1, 5, 9 and 13."""
+
+    SIZES = [37, 13] + [37] * 12
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "CHUNK_BLOCKS", 37)
+        monkeypatch.setattr(evaluation, "STOP_CHECK_CHUNKS", 4)
+
+    SYSTEMS = [(lambda: rm_system(5, 2, "dumer"), "awgn", -1.0),
+               (lambda: rm_system(4, 1, "dumer-soft"), "bursty", 2.0),
+               (lambda: polar_system(polar_spec(16, 5)), "rayleigh", 1.0)]
+
+    @pytest.mark.parametrize("system, channel, snr_db", SYSTEMS,
+                             ids=["rm52-hard", "rm41-soft", "polar16"])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_early_stop_after_two_rounds(self, system, channel, snr_db, threads):
+        system = system()
+        oracle = oracle_counts(system, channel, snr_db, 7, 1, self.SIZES)
+        # one more error than the first round reached: the second round stops it
+        need = oracle[5][2] + 1
+        assert oracle[9][2] >= need
+        results = simulate_error_rates(system, channel, [snr_db + 1, snr_db], min_blocks=50,
+                                       min_block_errors=need, max_blocks=10**6, seed=7,
+                                       threads=threads)
+        assert (results[1].blocks, results[1].bit_errors, results[1].block_errors) == oracle[9]
+
+    @pytest.mark.parametrize("system, channel, snr_db", SYSTEMS,
+                             ids=["rm52-hard", "rm41-soft", "polar16"])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_cap_cuts_the_last_chunk_short(self, system, channel, snr_db, threads):
+        system = system()
+        # chunks 0-1, two full rounds (2-9) and a last chunk of 20 blocks
+        sizes = self.SIZES[:10] + [20]
+        (res,) = simulate_error_rates(system, channel, [snr_db], min_blocks=50,
+                                      min_block_errors=10**9, max_blocks=366, seed=3,
+                                      threads=threads)
+        assert (res.blocks, res.bit_errors, res.block_errors) == \
+            oracle_counts(system, channel, snr_db, 3, 0, sizes)[-1]
+
+    @pytest.mark.parametrize("system, channel, snr_db", SYSTEMS,
+                             ids=["rm52-hard", "rm41-soft", "polar16"])
+    def test_bler_decomposition_runs_the_simulator_chunks(self, system, channel, snr_db):
+        system = system()
+        contribs, bler = bler_decomposition(system, channel, snr_db, 100, seed=5)
+        (res,) = simulate_error_rates(system, channel, [snr_db], min_blocks=100,
+                                      min_block_errors=0, seed=5)
+        blocks, _, block_errors = oracle_counts(system, channel, snr_db, 5, 0, [37, 37, 26])[-1]
+        assert res.blocks == blocks == 100
+        assert sum(c.first_error_blocks for c in contribs) == res.block_errors == block_errors
+        assert bler == res.bler
 
 
 class TestBlerDecomposition:

@@ -25,11 +25,11 @@ from plotkinlab.channel import make_channel, snr_to_sigma
 from plotkinlab.codes import FULL_RATE, build_polar_tree, build_rm_tree, polar_spec, tree_encode
 from plotkinlab.decoding import dumer_decode
 from plotkinlab.evaluation import (
-    _chunk_blocks,
     bler_decomposition,
     ko_system,
     polar_system,
     rm_system,
+    run_chunks,
     simulate_error_rates,
 )
 from plotkinlab.ko import (
@@ -115,8 +115,7 @@ def test_bler_decomposition_charges_the_first_wrong_leaf(system_args, seed, snr_
     blocks = 200
     contribs, bler = bler_decomposition(system, "awgn", snr_db, blocks, seed=seed)
     ch = make_channel("awgn", snr_to_sigma(snr_db))
-    msgs, y = _chunk_blocks(system, ch, seed, 0, 0, blocks)
-    decoded = system.decode(y, snr_to_sigma(snr_db))
+    [(msgs, decoded)] = run_chunks(system, ch, seed, 0, 0, [blocks])
     assert [c.label for c in contribs] == [lf.label() for lf in tree.message_leaves()]
     assert [c.first_error_blocks for c in contribs] == first_wrong_leaf_counts(tree, msgs, decoded)
     assert sum(c.first_error_blocks for c in contribs) / blocks == bler
