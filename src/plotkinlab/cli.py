@@ -303,7 +303,10 @@ def _train_config(args) -> TrainConfig:
                  f"{args.config}: {key} must be {TRAIN_FIELDS[key].__name__}, got {val!r}")
         if val is not None:
             fields.setdefault(key, val)
-    return TrainConfig(**fields)
+    try:
+        return TrainConfig(**fields)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def cmd_train(args, argv) -> int:
@@ -441,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     codes_sub = p_codes.add_subparsers(dest="codes_command", required=True)
     p_info = codes_sub.add_parser("info", help="print code parameters and tree")
     _add_code_args(p_info)
-    p_info.add_argument("--seed", type=int, default=0)
     p_info.add_argument("--json", action="store_true")
     p_info.set_defaults(func=cmd_codes_info)
 
@@ -450,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_enc.add_argument("--in", dest="infile", required=True)
     p_enc.add_argument("--out", dest="outfile", required=True)
     p_enc.add_argument("--format", choices=["f64", "csv"], default="csv")
-    p_enc.add_argument("--seed", type=int, default=0)
     p_enc.set_defaults(func=cmd_encode)
 
     p_dec = sub.add_parser("decode", help="decode LLRs or received symbols to bits")
@@ -458,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--in", dest="infile", required=True)
     p_dec.add_argument("--out", dest="outfile", required=True)
     p_dec.add_argument("--format", choices=["f64", "csv"], default="csv")
-    p_dec.add_argument("--seed", type=int, default=0)
     p_dec.set_defaults(func=cmd_decode)
 
     p_sim = sub.add_parser("simulate", help="Monte-Carlo BER/BLER estimation")

@@ -41,6 +41,9 @@ SOFT_MAP = "soft"
 # takes 1 MB, so its butterflies run in cache.
 FHT_TILE_ROWS = 1024
 
+# Floats per dumer_decode row tile, so a node's arrays stay in cache.
+DECODE_TILE_FLOATS = 1 << 18
+
 # dumer_decode and ko_decode clip their input to +/-LLR_LIMIT (clip_llrs).
 # Finite LLRs near the float limit (1.8e308) would overflow to inf in the
 # parity adds and leaf correlations and decode to wrong bits. Each parity
@@ -391,6 +394,11 @@ def dumer_decode(tree: PlotkinTree, llr, leaf_rule: str = HARD_MAP) -> DecodeRes
     LLRs, hard decisions are their signs, and the re-encoded codeword is
     the soft-sign lift of the sigmoid bit probabilities (the classical
     skeleton of the KO decoder). Input LLRs are clipped to +/-LLR_LIMIT.
+
+    The recursion runs over tiles of max(FHT_TILE_ROWS, DECODE_TILE_FLOATS
+    // n) rows, the last taking the remainder, so every tile decodes bit for
+    bit as one tile of the whole batch would: below the floor, or at one
+    row (gemv), BLAS would round the rows of its products differently.
     """
     llr = clip_llrs(llr)
     single = llr.ndim == 1
@@ -406,12 +414,12 @@ def dumer_decode(tree: PlotkinTree, llr, leaf_rule: str = HARD_MAP) -> DecodeRes
     def decode_leaf(leaf: Leaf, feat: np.ndarray) -> np.ndarray:
         if leaf.kind == FROZEN:
             if leaf_rule == SOFT_MAP:
-                return np.ones((batch, leaf.length))
-            return np.zeros((batch, leaf.length), dtype=np.uint8)
+                return np.ones((feat.shape[0], leaf.length))
+            return np.zeros((feat.shape[0], leaf.length), dtype=np.uint8)
         if leaf_rule == SOFT_MAP:
             llrs = softmap_forward(leaf, feat)
             bits = (llrs < 0).astype(np.uint8)
-            out_llrs[:, leaf.lo:leaf.hi] = llrs
+            out_llrs[rows, leaf.lo:leaf.hi] = llrs
             cw = soft_reencode(leaf, stable_sigmoid(-llrs))
         elif leaf.kind == REPETITION:
             bits = majority_decode_repetition(feat)[:, None]
@@ -420,7 +428,7 @@ def dumer_decode(tree: PlotkinTree, llr, leaf_rule: str = HARD_MAP) -> DecodeRes
             cw, bits = fht_map_decode_rm1(feat, leaf.m)
         else:
             bits, cw = map_decode(_leaf_codebook(leaf), feat)
-        message[:, leaf.lo:leaf.hi] = bits
+        message[rows, leaf.lo:leaf.hi] = bits
         return cw
 
     def rec(node, feat: np.ndarray) -> np.ndarray:
@@ -438,7 +446,11 @@ def dumer_decode(tree: PlotkinTree, llr, leaf_rule: str = HARD_MAP) -> DecodeRes
             return np.concatenate([u_cw, u_cw * v_cw], axis=1)
         return np.concatenate([u_cw, u_cw ^ v_cw], axis=1)
 
-    rec(tree.root, l2)
+    tile = max(FHT_TILE_ROWS, DECODE_TILE_FLOATS // tree.n)
+    starts = range(0, max(batch - tile, 0) + 1, tile)
+    for lo, hi in zip(starts, [*starts[1:], batch]):
+        rows = slice(lo, hi)
+        rec(tree.root, l2[rows])
     if single:
         return DecodeResult(message[0], None if out_llrs is None else out_llrs[0])
     return DecodeResult(message, out_llrs)

@@ -51,6 +51,9 @@ class TrainConfig:
     clip_norm: float | None = None  # optional global-norm gradient clip
 
     def __post_init__(self):
+        if not np.isfinite([self.snr_dec, self.snr_enc, self.lr_dec, self.lr_enc,
+                            self.clip_norm or 0.0]).all():
+            raise ValueError("SNRs, learning rates and clip_norm must be finite")
         if min(self.epochs, self.dec_steps, self.enc_steps) < 0:
             raise ValueError("step counts must be non-negative")
         if self.batch_size < 1:

@@ -238,7 +238,9 @@ class TestTrainCommand:
         assert ckpt.exists()
 
     @pytest.mark.parametrize("doc", ['{"epochs": 1, "bogus": 2}', "[1, 2]", '{"epochs": "x"}',
-                                     '{"seed": 1.5}', '{"epochs": true}'])
+                                     '{"seed": 1.5}', '{"epochs": true}', '{"snr_dec": NaN}',
+                                     '{"snr_enc": -Infinity}', '{"lr_enc": Infinity}',
+                                     '{"clip_norm": NaN}', '{"lr_dec": -1}'])
     def test_bad_config_is_usage_error(self, tmp_path, doc):
         cfg = tmp_path / "train.json"
         cfg.write_text(doc)
@@ -250,18 +252,22 @@ class TestTrainCommand:
         assert_clean_failure(status, err, ckpt)
 
     def test_diverged_training_is_runtime_error(self, tmp_path):
-        cfg = tmp_path / "train.json"
-        cfg.write_text('{"snr_dec": NaN}')
+        # the first Adam step moves every weight by about the learning rate,
+        # so at 1e300 the next forward pass overflows
         ckpt = tmp_path / "m.json"
         argv = ["train", "--m", "2", "--r", "1", "--profile", "tiny", "--epochs", "1",
-                "--dec-steps", "1", "--enc-steps", "0", "--batch-size", "4",
-                "--checkpoint", str(ckpt)]
+                "--dec-steps", "2", "--enc-steps", "0", "--batch-size", "4",
+                "--lr-dec", "1e300", "--checkpoint", str(ckpt)]
         with pytest.warns(RuntimeWarning):
-            status, err = run_captured(argv + ["--config", str(cfg)])
+            status, err = run_captured(argv)
         assert status == 1 and "non-finite loss" in err
         assert_clean_failure(status, err, ckpt)
+
+    def test_non_finite_flag_is_usage_error(self, tmp_path):
+        ckpt = tmp_path / "m.json"
         with pytest.raises(SystemExit) as exc:
-            run(argv + ["--snr-dec", "nan"])
+            run(["train", "--m", "2", "--r", "1", "--profile", "tiny", "--epochs", "1",
+                 "--snr-dec", "nan", "--checkpoint", str(ckpt)])
         assert exc.value.code == 2
         assert not ckpt.exists()
 

@@ -353,6 +353,39 @@ class TestDumerDecode:
         assert np.array_equal(soft.message, msgs)
 
 
+class TestRowTiles:
+    """dumer_decode's row tiles change no bit: every batch decodes exactly
+    as one tile of all its rows would."""
+
+    # rows per tile: 2^18 floats a tile with a 1,024-row floor. RM(4,4) is
+    # one 16-bit full-rate leaf that scores 65,536 codewords a row, so its
+    # 16,384-row tile would need 8.6 GB; it runs at 8-row tiles instead (a
+    # 16-long product rounds alike at any row count above one)
+    CODES = {"rm82": (build_rm_tree(8, 2), 1024), "rm61": (build_rm_tree(6, 1), 4096),
+             "rm71": (build_rm_tree(7, 1), 2048), "rm44": (build_rm_tree(4, 4), 8),
+             "polar64_7": (build_polar_tree(polar_spec(64, 7)), 4096)}
+
+    @pytest.mark.parametrize("rule", ["hard", "soft"])
+    @pytest.mark.parametrize("code", CODES)
+    def test_tiles_match_one_tile(self, monkeypatch, code, rule):
+        tree, tile = self.CODES[code]
+        if code == "rm44":
+            monkeypatch.setattr(decoding, "FHT_TILE_ROWS", tile)
+            monkeypatch.setattr(decoding, "DECODE_TILE_FLOATS", tile * tree.n)
+        rng = np.random.default_rng(tree.n)
+        llr = 2.0 * (1.0 + rng.standard_normal((2 * tile + 1, tree.n)))
+        for rows in (tile - 1, tile, tile + 1, 2 * tile + 1):
+            tiled = dumer_decode(tree, llr[:rows], rule)
+            with monkeypatch.context() as mp:
+                mp.setattr(decoding, "FHT_TILE_ROWS", rows)
+                mp.setattr(decoding, "DECODE_TILE_FLOATS", rows * tree.n)
+                whole = dumer_decode(tree, llr[:rows], rule)
+            assert np.array_equal(tiled.message, whole.message), rows
+            if rule == "soft":
+                assert np.array_equal(tiled.llrs.view(np.uint64),
+                                      whole.llrs.view(np.uint64)), rows
+
+
 class TestLlrLimit:
     @pytest.mark.parametrize("rule", ["hard", "soft"])
     def test_codewords_near_the_float_limit(self, rule):

@@ -233,6 +233,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(clip_norm=0.0)
 
+    @pytest.mark.parametrize("field", ["snr_dec", "snr_enc", "lr_dec", "lr_enc", "clip_norm"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            TrainConfig(**{field: value})
+
 
 class TestGradientClipping:
     def test_clip_bounds_global_norm(self):
