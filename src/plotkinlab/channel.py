@@ -16,6 +16,11 @@ from .bits import bpsk
 AWGN = "awgn"
 RAYLEIGH = "rayleigh"
 BURSTY = "bursty"
+CHANNELS = (AWGN, RAYLEIGH, BURSTY)
+
+# Default bursty channel: N(0, 2*sigma^2) spikes on 10% of symbols.
+BURST_PROB = 0.1
+BURST_SIGMA_MULT = float(np.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -28,7 +33,7 @@ class Channel:
     burst_sigma: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in (AWGN, RAYLEIGH, BURSTY):
+        if self.kind not in CHANNELS:
             raise ValueError(f"unknown channel kind {self.kind!r}")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
@@ -47,13 +52,14 @@ def rayleigh_fast(sigma: float) -> Channel:
     return Channel(RAYLEIGH, sigma)
 
 
-def bursty(sigma: float, burst_prob: float = 0.1, burst_sigma_mult: float = np.sqrt(2.0)) -> Channel:
+def bursty(sigma: float, burst_prob: float = BURST_PROB,
+           burst_sigma_mult: float = BURST_SIGMA_MULT) -> Channel:
     """Bursty channel; defaults add N(0, 2*sigma^2) spikes on 10% of symbols."""
     return Channel(BURSTY, sigma, burst_prob, burst_sigma_mult * sigma)
 
 
-def make_channel(kind: str, sigma: float, burst_prob: float = 0.1,
-                 burst_sigma_mult: float = float(np.sqrt(2.0))) -> Channel:
+def make_channel(kind: str, sigma: float, burst_prob: float = BURST_PROB,
+                 burst_sigma_mult: float = BURST_SIGMA_MULT) -> Channel:
     """The channel named by kind at noise level sigma; the burst parameters
     apply to the bursty channel only."""
     if kind == AWGN:

@@ -19,8 +19,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .codes import polar_spec, rm_spec
+from .channel import BURST_PROB, BURST_SIGMA_MULT, CHANNELS
+from .codes import message_index, polar_spec, rm_spec
 from .evaluation import (
+    DECODERS,
     UnsupportedDecoder,
     bler_decomposition,
     check_decoder,
@@ -33,7 +35,7 @@ from .evaluation import (
     rm_system,
     simulate_error_rates,
 )
-from .ko import build_ko_model, load_checkpoint, save_checkpoint, tree_for_code
+from .ko import PROFILES, build_ko_model, load_checkpoint, save_checkpoint, tree_for_code
 from .training import TRAIN_MODES, TrainConfig, TrainingDiverged, train
 
 # Longest SNR grid `simulate --snr lo:step:hi` takes.
@@ -318,7 +320,9 @@ def cmd_train(args, argv) -> int:
         model = build_ko_model(tree_for_code(code), code, args.profile,
                                "all_internal" if args.code == "rm" else "all_but_root",
                                seed=cfg.seed)
-    model, log = train(model, cfg, channel_kind=args.channel)
+    # a diverging run overflows on its way to the non-finite loss that stops it
+    with np.errstate(over="ignore", invalid="ignore"):
+        model, log = train(model, cfg, channel_kind=args.channel)
     save_checkpoint(model, args.checkpoint)
     log.checkpoint_path = args.checkpoint
     if args.log:
@@ -338,8 +342,7 @@ def cmd_analyze_pairwise(args, argv) -> int:
         codebook = gaussian_codebook(args.n, args.k, rng)
 
         def encode(msgs):
-            weights = (1 << np.arange(args.k - 1, -1, -1)).astype(np.int64)
-            return codebook[msgs.astype(np.int64) @ weights]
+            return codebook[message_index(msgs)]
 
         k, n = args.k, args.n
     else:
@@ -419,17 +422,16 @@ def _add_code_args(p: argparse.ArgumentParser) -> None:
     _add_spec_args(p)
     p.add_argument("--checkpoint")
     p.add_argument("--decoder",
-                   choices=["dumer", "dumer-soft", "map", "fht-map", "sc", "ko"])
+                   choices=list(dict.fromkeys(d for names in DECODERS.values() for d in names)))
     p.add_argument("--binarized", action="store_true",
                    help="use the sign-binarized KO-b codewords")
 
 
 def _add_channel_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--channel", default="awgn",
-                   choices=["awgn", "rayleigh", "bursty"])
-    p.add_argument("--burst-prob", dest="burst_prob", type=float, default=0.1)
+    p.add_argument("--channel", default="awgn", choices=CHANNELS)
+    p.add_argument("--burst-prob", dest="burst_prob", type=float, default=BURST_PROB)
     p.add_argument("--burst-sigma-mult", dest="burst_sigma_mult", type=float,
-                   default=float(np.sqrt(2.0)))
+                   default=BURST_SIGMA_MULT)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -480,11 +482,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--code", default="rm", choices=["rm", "polar"],
                          help="the KO model's skeleton")
     _add_spec_args(p_train)
-    p_train.add_argument("--profile", default="standard",
-                         choices=["standard", "tiny"])
+    p_train.add_argument("--profile", default="standard", choices=list(PROFILES))
     p_train.add_argument("--config", help="JSON file mirroring TrainConfig fields")
-    p_train.add_argument("--channel", default="awgn",
-                         choices=["awgn", "rayleigh", "bursty"])
+    p_train.add_argument("--channel", default="awgn", choices=CHANNELS)
     p_train.add_argument("--init-checkpoint", dest="init_checkpoint")
     p_train.add_argument("--checkpoint", required=True, help="output model path")
     p_train.add_argument("--log", help="per-step CSV log path")

@@ -19,6 +19,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Iterator, Union
 
 import numpy as np
@@ -232,11 +233,12 @@ def encode_leaf(leaf: Leaf, msg: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown leaf kind {leaf.kind!r}")
 
 
+@lru_cache(maxsize=None)
 def leaf_generator(leaf: Leaf) -> np.ndarray:
-    """(k, length) generator bits of a leaf: rows encode unit messages."""
+    """Read-only (k, length) generator bits of a leaf: rows encode unit messages."""
     if leaf.kind == FROZEN:
         return np.zeros((0, leaf.length), dtype=np.uint8)
-    return encode_leaf(leaf, np.eye(leaf.k, dtype=np.uint8))
+    return _read_only(encode_leaf(leaf, np.eye(leaf.k, dtype=np.uint8)))
 
 
 def tree_encode(tree: PlotkinTree, msg) -> np.ndarray:
@@ -259,7 +261,10 @@ def tree_encode(tree: PlotkinTree, msg) -> np.ndarray:
         v = enc(node.v)
         return np.concatenate([u, u ^ v], axis=1)
 
-    out = enc(tree.root)
+    try:
+        out = enc(tree.root)
+    finally:
+        del enc  # break the closure's self-reference so refcounting frees arr
     return out[0] if single else out
 
 
@@ -274,16 +279,31 @@ def rm_generator_rows(m: int, r: int) -> np.ndarray:
     return g[keep]
 
 
-@dataclass(frozen=True)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
 class Codebook:
-    """All 2^k (message, codeword) pairs, message index = binary value."""
+    """(message, codeword) pairs of a code, one per row; all arrays are read-only."""
 
-    messages: np.ndarray  # (2^k, k) uint8
-    codewords: np.ndarray  # (2^k, n) uint8
+    messages: np.ndarray  # (V, k) uint8
+    codewords: np.ndarray  # (V, n) uint8
 
-    @property
+    def __post_init__(self):
+        _read_only(self.messages)
+        _read_only(self.codewords)
+
+    @cached_property
     def signs(self) -> np.ndarray:
-        return 1.0 - 2.0 * self.codewords.astype(np.float64)
+        """(V, n) float64 BPSK images 1 - 2c of the codewords."""
+        return _read_only(1.0 - 2.0 * self.codewords.astype(np.float64))
+
+    @cached_property
+    def bit_is_zero(self) -> np.ndarray:
+        """(k, V) bool: bit_is_zero[i, c] tells whether row c's message bit i is 0."""
+        return _read_only((self.messages == 0).T.copy())
 
 
 def all_messages(k: int) -> np.ndarray:
@@ -292,12 +312,39 @@ def all_messages(k: int) -> np.ndarray:
     return ((idx[:, None] >> np.arange(k - 1, -1, -1)[None, :]) & 1).astype(np.uint8)
 
 
+def message_index(msgs: np.ndarray) -> np.ndarray:
+    """Row of each message word in all_messages(k): its binary value."""
+    weights = 1 << np.arange(msgs.shape[-1] - 1, -1, -1, dtype=np.int64)
+    return msgs.astype(np.int64) @ weights
+
+
 def enumerate_codebook(tree: PlotkinTree) -> Codebook:
     """All 2^k codewords of a tree code, for brute-force oracles (k <= 20)."""
     if tree.k > MAX_CODEBOOK_K:
         raise ValueError(f"k={tree.k} too large to enumerate (limit {MAX_CODEBOOK_K})")
     msgs = all_messages(tree.k)
     return Codebook(msgs, tree_encode(tree, msgs))
+
+
+@lru_cache(maxsize=None)
+def leaf_codebook(leaf: Leaf) -> Codebook:
+    """Every codeword of a leaf: the table its MAP and max-log decoders search.
+
+    First-order rows are the Hadamard rows, then their negations, the order
+    in which the Walsh-Hadamard transform scores them: row i has affine bit
+    i >= n and linear bits those of i mod n, least significant first. Other
+    kinds list all_messages(k)."""
+    if leaf.kind == FROZEN:
+        raise ValueError(f"leaf {leaf.label()} has no message bits to decode")
+    if leaf.k > MAX_CODEBOOK_K:
+        raise ValueError(f"cannot decode leaf {leaf.label()}: its {leaf.k} message bits "
+                         f"exceed the {MAX_CODEBOOK_K}-bit codebook limit")
+    if leaf.kind == FIRST_ORDER:
+        idx = np.arange(2 * leaf.length)[:, None]
+        msgs = np.hstack([idx >> leaf.m, idx >> np.arange(leaf.m) & 1]).astype(np.uint8)
+    else:
+        msgs = all_messages(leaf.k)
+    return Codebook(msgs, encode_leaf(leaf, msgs))
 
 
 # ---------------------------------------------------------------------------

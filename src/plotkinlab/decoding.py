@@ -16,21 +16,17 @@ the lowest index and LLR sign ties decode to bit 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .bits import hadamard_matrix, parity_table
 from .codes import (
     FIRST_ORDER,
     FROZEN,
-    FULL_RATE,
-    MAX_CODEBOOK_K,
     REPETITION,
     Codebook,
     Leaf,
     PlotkinTree,
-    all_messages,
+    leaf_codebook,
     leaf_generator,
 )
 
@@ -95,8 +91,7 @@ def parity_adjusted_add(l1, l2, v_hat) -> np.ndarray:
     v = np.asarray(v_hat)
     if l1.shape[-1] != l2.shape[-1] or v.shape[-1] != l1.shape[-1]:
         raise ValueError("length mismatch between LLR halves and parity word")
-    s = v.astype(np.float64) if v.dtype.kind == "f" else 1.0 - 2.0 * v.astype(np.float64)
-    return l1 + s * l2
+    return l1 + (v if v.dtype.kind == "f" else 1.0 - 2.0 * v) * l2
 
 
 def majority_decode_repetition(l) -> np.ndarray:
@@ -162,8 +157,6 @@ def map_decode(codebook: Codebook, l) -> tuple[np.ndarray, np.ndarray]:
     Returns (message, codeword); ties take the lowest message index. Valid
     for equal-prior, equal-energy codebooks.
     """
-    if codebook.messages.shape[1] > 20:
-        raise ValueError("codebook too large for exhaustive MAP")
     l = np.asarray(l, dtype=np.float64)
     single = l.ndim == 1
     scores = np.atleast_2d(l) @ codebook.signs.T
@@ -178,11 +171,9 @@ def fht_map_decode_rm1(l, m: int) -> tuple[np.ndarray, np.ndarray]:
 
     The +/-1 images of the 2^(m+1) codewords are exactly the rows of the
     Hadamard matrix and their negations, so the transform lists all
-    codeword correlations at once: pick i* = argmax |t_i|, then the
-    codeword is row i* of the parity table, complemented when t_i* < 0.
-    The message is recovered from (sign, i*): the affine bit is 1 iff the
-    sign is negative and the linear bits are the bits of i*. Returns
-    (codeword, message).
+    codeword correlations at once: pick i* = argmax |t_i|; the decision is
+    row i* of the leaf_codebook table, or row i* + n (its complement) when
+    t_i* < 0. Returns (codeword, message).
     """
     l = np.asarray(l, dtype=np.float64)
     single = l.ndim == 1
@@ -191,13 +182,9 @@ def fht_map_decode_rm1(l, m: int) -> tuple[np.ndarray, np.ndarray]:
     if n != 1 << m:
         raise ValueError(f"LLR length {n} != 2^{m}")
     best = np.argmax(np.abs(t), axis=1)
-    vals = t[np.arange(t.shape[0]), best]
-    neg = vals < 0
-    cw = parity_table(m)[best] ^ neg[:, None].view(np.uint8)
-    msg = np.empty((t.shape[0], m + 1), dtype=np.uint8)
-    msg[:, 0] = neg
-    for i in range(1, m + 1):
-        msg[:, i] = (best >> (i - 1)) & 1
+    best += n * (t[np.arange(t.shape[0]), best] < 0)
+    table = leaf_codebook(Leaf(FIRST_ORDER, m, 0, m + 1))
+    cw, msg = table.codewords[best], table.messages[best]
     return (cw[0], msg[0]) if single else (cw, msg)
 
 
@@ -205,67 +192,17 @@ def fht_map_decode_rm1(l, m: int) -> tuple[np.ndarray, np.ndarray]:
 # Soft-MAP: per-bit LLRs by the max-log rule over the leaf codebook
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LeafDecodeData:
-    """Precomputed codebook geometry for one leaf kind and size.
-
-    signs lists the +/-1 codeword images (for first-order leaves in the
-    virtual order: +H rows then -H rows, so that correlation scores are the
-    transform and its negation). mask0[i] selects the codewords whose
-    message bit i is 0.
-    """
-
-    signs: np.ndarray  # (V, length) float64
-    messages: np.ndarray  # (V, k) uint8
-    mask0: np.ndarray  # (k, V) bool
-    generator: np.ndarray  # (k, length) uint8
-    is_first_order: bool
-
-
-@lru_cache(maxsize=None)
-def leaf_decode_data(kind: str, m: int) -> LeafDecodeData:
-    leaf = Leaf(kind, m, 0, _leaf_k(kind, m))
-    if leaf.k > MAX_CODEBOOK_K:
-        raise ValueError(f"cannot decode leaf {leaf.label()}: its {leaf.k} message bits "
-                         f"exceed the {MAX_CODEBOOK_K}-bit codebook limit")
-    gen = leaf_generator(leaf)
-    if kind == FIRST_ORDER:
-        n = leaf.length
-        h = hadamard_matrix(m)
-        signs = np.concatenate([h, -h], axis=0)
-        idx = np.arange(2 * n)
-        msgs = np.empty((2 * n, m + 1), dtype=np.uint8)
-        msgs[:, 0] = idx >= n
-        for i in range(1, m + 1):
-            msgs[:, i] = (idx % n >> (i - 1)) & 1
-    else:
-        msgs = all_messages(leaf.k)
-        from .codes import encode_leaf
-
-        cw = encode_leaf(leaf, msgs)
-        signs = 1.0 - 2.0 * cw.astype(np.float64)
-    mask0 = (msgs == 0).T.copy()
-    return LeafDecodeData(signs, msgs, mask0, gen, kind == FIRST_ORDER)
-
-
-def _leaf_k(kind: str, m: int) -> int:
-    table = {REPETITION: 1, FIRST_ORDER: m + 1, FULL_RATE: 1 << m}
-    if kind not in table:
-        raise ValueError(f"leaf kind {kind!r} has no soft-MAP codebook")
-    return table[kind]
-
-
 def softmap_scores(leaf: Leaf, l: np.ndarray) -> np.ndarray:
     """Correlations <l, 1-2c> for every codeword of the leaf.
 
     First-order leaves use the Walsh-Hadamard transform (n log n instead of
-    the quadratic dense product); other leaves correlate densely.
+    the quadratic dense product); other leaves correlate densely with the
+    rows of leaf_codebook(leaf).
     """
-    data = leaf_decode_data(leaf.kind, leaf.m)
-    if data.is_first_order:
+    if leaf.kind == FIRST_ORDER:
         t = fht(l)
         return np.concatenate([t, -t], axis=1)
-    return l @ data.signs.T
+    return l @ leaf_codebook(leaf).signs.T
 
 
 def max_log_llrs(scores: np.ndarray, bit_is_zero: np.ndarray):
@@ -307,9 +244,9 @@ def softmap_forward(leaf: Leaf, l: np.ndarray) -> np.ndarray:
     (Ashikhmin & Litsyn, IEEE Trans. IT 2004). Rows with no nonzero |t_x|
     (or with a NaN) take the search, which fixes the sign of a zero LLR.
     """
-    data = leaf_decode_data(leaf.kind, leaf.m)
-    if not data.is_first_order:
-        return max_log_llrs(softmap_scores(leaf, l), data.mask0)[0]
+    bit_is_zero = leaf_codebook(leaf).bit_is_zero
+    if leaf.kind != FIRST_ORDER:
+        return max_log_llrs(softmap_scores(leaf, l), bit_is_zero)[0]
     n = leaf.length
     llrs = np.empty((l.shape[0], leaf.k))
     for start, t in fht_tiles(l):
@@ -322,7 +259,7 @@ def softmap_forward(leaf: Leaf, l: np.ndarray) -> np.ndarray:
             np.subtract(halves[0], halves[1], out=out[j])
         redo = start + np.flatnonzero(~(mag.max(axis=0) > 0))
         if redo.size:
-            llrs[redo] = max_log_llrs(softmap_scores(leaf, l[redo]), data.mask0)[0]
+            llrs[redo] = max_log_llrs(softmap_scores(leaf, l[redo]), bit_is_zero)[0]
     return llrs
 
 
@@ -360,7 +297,7 @@ def soft_reencode(leaf: Leaf, soft_bits) -> np.ndarray:
             half = 1 << (j - 1)
             np.multiply(out[:, :half], t[:, j:j + 1], out=out[:, half:2 * half])
     else:
-        gen = leaf_decode_data(leaf.kind, leaf.m).generator
+        gen = leaf_generator(leaf)
         out = np.ones((p.shape[0], leaf.length))
         for i in range(gen.shape[0]):
             out *= np.where(gen[i] == 1, t[:, i:i + 1], 1.0)
@@ -427,7 +364,7 @@ def dumer_decode(tree: PlotkinTree, llr, leaf_rule: str = HARD_MAP) -> DecodeRes
         elif leaf.kind == FIRST_ORDER:
             cw, bits = fht_map_decode_rm1(feat, leaf.m)
         else:
-            bits, cw = map_decode(_leaf_codebook(leaf), feat)
+            bits, cw = map_decode(leaf_codebook(leaf), feat)
         message[rows, leaf.lo:leaf.hi] = bits
         return cw
 
@@ -437,27 +374,19 @@ def dumer_decode(tree: PlotkinTree, llr, leaf_rule: str = HARD_MAP) -> DecodeRes
         half = node.length // 2
         f1, f2 = feat[:, :half], feat[:, half:]
         v_cw = rec(node.v, lse(f1, f2))
-        if v_cw.dtype.kind == "f":
-            u_feat = f1 + v_cw * f2
-        else:
-            u_feat = f1 + (1.0 - 2.0 * v_cw) * f2
-        u_cw = rec(node.u, u_feat)
-        if u_cw.dtype.kind == "f":
-            return np.concatenate([u_cw, u_cw * v_cw], axis=1)
-        return np.concatenate([u_cw, u_cw ^ v_cw], axis=1)
+        u_cw = rec(node.u, parity_adjusted_add(f1, f2, v_cw))
+        combined = u_cw * v_cw if u_cw.dtype.kind == "f" else u_cw ^ v_cw
+        return np.concatenate([u_cw, combined], axis=1)
 
     tile = max(FHT_TILE_ROWS, DECODE_TILE_FLOATS // tree.n)
     starts = range(0, max(batch - tile, 0) + 1, tile)
-    for lo, hi in zip(starts, [*starts[1:], batch]):
-        rows = slice(lo, hi)
-        rec(tree.root, l2[rows])
+    try:
+        for lo, hi in zip(starts, [*starts[1:], batch]):
+            rows = slice(lo, hi)
+            rec(tree.root, l2[rows])
+    finally:
+        del rec  # break the closure's self-reference so refcounting frees message
     if single:
         return DecodeResult(message[0], None if out_llrs is None else out_llrs[0])
     return DecodeResult(message, out_llrs)
 
-
-@lru_cache(maxsize=None)
-def _leaf_codebook(leaf: Leaf) -> Codebook:
-    data = leaf_decode_data(leaf.kind, leaf.m)
-    cw = ((1.0 - data.signs) / 2.0).astype(np.uint8)
-    return Codebook(data.messages, cw)

@@ -13,7 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import bpsk
-from .channel import Channel, channel_llr, make_channel, snr_to_sigma, transmit
+from .channel import (
+    BURST_PROB,
+    BURST_SIGMA_MULT,
+    Channel,
+    channel_llr,
+    make_channel,
+    snr_to_sigma,
+    transmit,
+)
 from .codes import (
     FIRST_ORDER,
     FROZEN,
@@ -244,8 +252,8 @@ STOP_CHECK_CHUNKS = 4
 def simulate_error_rates(system: CodeSystem, channel_kind: str, snr_grid,
                          min_blocks: int, min_block_errors: int = 100,
                          max_blocks: int | None = None, seed: int = 0,
-                         burst_prob: float = 0.1,
-                         burst_sigma_mult: float = float(np.sqrt(2.0)),
+                         burst_prob: float = BURST_PROB,
+                         burst_sigma_mult: float = BURST_SIGMA_MULT,
                          threads: int = 1) -> list[SimResult]:
     """Estimate BER/BLER on a grid of SNR points.
 
@@ -265,11 +273,11 @@ def simulate_error_rates(system: CodeSystem, channel_kind: str, snr_grid,
             blocks = bit_errors = block_errors = chunks = 0
             sizes = _chunk_sizes(min_blocks)
             while sizes:
-                for msgs, decoded in run_chunks(system, ch, seed, snr_index, chunks, sizes, pool):
-                    diffs = decoded != msgs
-                    blocks += len(msgs)
-                    bit_errors += int(diffs.sum())
-                    block_errors += int(diffs.any(axis=1).sum())
+                for done, bits_wrong, blocks_wrong in run_chunks(
+                        system, ch, seed, snr_index, chunks, sizes, _error_counts, pool):
+                    blocks += done
+                    bit_errors += bits_wrong
+                    block_errors += blocks_wrong
                 chunks += len(sizes)
                 sizes = (_chunk_sizes(min(cap - blocks, STOP_CHECK_CHUNKS * CHUNK_BLOCKS))
                          if block_errors < min_block_errors else [])
@@ -284,16 +292,24 @@ def _chunk_sizes(blocks: int) -> list[int]:
     return [min(CHUNK_BLOCKS, blocks - done) for done in range(0, blocks, CHUNK_BLOCKS)]
 
 
+def _error_counts(msgs: np.ndarray, decoded: np.ndarray) -> tuple[int, int, int]:
+    """(blocks, bit errors, block errors) of one chunk."""
+    diffs = decoded != msgs
+    return len(msgs), int(diffs.sum()), int(diffs.any(axis=1).sum())
+
+
 def run_chunks(system: CodeSystem, ch: Channel, seed: int, snr_index: int,
-               first: int, sizes: list[int], pool: ThreadPoolExecutor | None = None):
-    """(messages, decoded bits) of each chunk, in chunk order, through the
-    pool when there is one. Chunk first + i has sizes[i] blocks and draws
+               first: int, sizes: list[int], tally,
+               pool: ThreadPoolExecutor | None = None):
+    """tally(messages, decoded bits) of each chunk, in chunk order, through
+    the pool when there is one. tally runs in the worker, so a chunk's
+    arrays are freed there. Chunk first + i has sizes[i] blocks and draws
     its messages and noise from the generator seeded by
     [seed, snr_index, first + i]."""
     def run(i):
         rng = np.random.default_rng([seed, snr_index, first + i])
         msgs = rng.integers(0, 2, size=(sizes[i], system.k), dtype=np.uint8)
-        return msgs, system.decode(transmit(system.encode(msgs), ch, rng), ch.sigma)
+        return tally(msgs, system.decode(transmit(system.encode(msgs), ch, rng), ch.sigma))
 
     return (pool.map if pool else map)(run, range(len(sizes)))
 
@@ -310,8 +326,8 @@ class LeafContribution:
 
 
 def bler_decomposition(system: CodeSystem, channel_kind: str, snr_db: float,
-                       blocks: int, seed: int = 0, burst_prob: float = 0.1,
-                       burst_sigma_mult: float = float(np.sqrt(2.0))
+                       blocks: int, seed: int = 0, burst_prob: float = BURST_PROB,
+                       burst_sigma_mult: float = BURST_SIGMA_MULT
                        ) -> tuple[list[LeafContribution], float]:
     """Split BLER into per-leaf first-error contributions.
 
@@ -327,16 +343,17 @@ def bler_decomposition(system: CodeSystem, channel_kind: str, snr_db: float,
                                  f"{system.decoder_name!r}")
     leaves = system.tree.message_leaves()
     ch = make_channel(channel_kind, snr_to_sigma(snr_db), burst_prob, burst_sigma_mult)
-    counts = np.zeros(len(leaves), dtype=np.int64)
-    total_block_errors = 0
-    for msgs, decoded in run_chunks(system, ch, seed, 0, 0, _chunk_sizes(blocks)):
-        wrong = np.stack([(decoded[:, lf.lo:lf.hi] != msgs[:, lf.lo:lf.hi]).any(axis=1)
-                          for lf in leaves], axis=1)
-        any_wrong = wrong.any(axis=1)
-        total_block_errors += int(any_wrong.sum())
-        counts += np.bincount(np.argmax(wrong[any_wrong], axis=1), minlength=len(leaves))
-    return ([LeafContribution(lf.label(), int(c), int(c) / blocks)
-             for lf, c in zip(leaves, counts)], total_block_errors / blocks)
+
+    def first_errors(msgs, decoded):
+        """A chunk's blocks by first wrong leaf, the last count for no wrong leaf."""
+        wrong = [(decoded[:, lf.lo:lf.hi] != msgs[:, lf.lo:lf.hi]).any(axis=1) for lf in leaves]
+        first = np.argmax(np.stack([*wrong, np.ones(len(msgs), dtype=bool)], axis=1), axis=1)
+        return np.bincount(first, minlength=len(leaves) + 1)
+
+    counts = sum(run_chunks(system, ch, seed, 0, 0, _chunk_sizes(blocks), first_errors),
+                 np.zeros(len(leaves) + 1, dtype=np.int64))[:-1].tolist()
+    return ([LeafContribution(lf.label(), c, c / blocks) for lf, c in zip(leaves, counts)],
+            sum(counts) / blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -33,12 +33,13 @@ from .codes import (
     build_polar_tree,
     build_rm_tree,
     encode_leaf,
+    leaf_codebook,
+    leaf_generator,
     polar_spec,
 )
 from .decoding import (
     DecodeResult,
     clip_llrs,
-    leaf_decode_data,
     max_log_llrs,
     require_finite,
     soft_reencode,
@@ -191,11 +192,11 @@ def softmap_node(leaf: Leaf, feat: Node) -> Node:
     """
 
     def vjp(g):
-        data = leaf_decode_data(leaf.kind, leaf.m)
-        _, arg0, arg1 = max_log_llrs(softmap_scores(leaf, feat.value), data.mask0)
+        table = leaf_codebook(leaf)
+        _, arg0, arg1 = max_log_llrs(softmap_scores(leaf, feat.value), table.bit_is_zero)
         dl = np.zeros_like(feat.value)
         for i in range(g.shape[1]):
-            dl += g[:, i:i + 1] * (data.signs[arg0[:, i]] - data.signs[arg1[:, i]])
+            dl += g[:, i:i + 1] * (table.signs[arg0[:, i]] - table.signs[arg1[:, i]])
         return (dl,)
 
     return ad.custom_op(softmap_forward(leaf, feat.value), (feat,), vjp)
@@ -204,7 +205,7 @@ def softmap_node(leaf: Leaf, feat: Node) -> Node:
 def soft_reencode_node(leaf: Leaf, p_one: Node) -> Node:
     """Soft-sign re-encoding: position j is the product of 1-2p over the
     message bits in its generator column. Exact on hard bits."""
-    gen = leaf_decode_data(leaf.kind, leaf.m).generator
+    gen = leaf_generator(leaf)
 
     def vjp(g):
         t = 1.0 - 2.0 * p_one.value

@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import AdamState, adam_step, backward, grad_or_zero
 from .channel import Channel, draw_noise, make_channel, snr_to_sigma
-from .codes import all_messages
+from .codes import all_messages, message_index
 from .decoding import max_log_llrs
 from .ko import KoModel, bind, ko_decode_graph, ko_encode_graph
 
@@ -129,7 +129,7 @@ def _softmap_step(model: KoModel, msgs: np.ndarray, ch: Channel,
     """_run_step with the exact max-log decoder over the full codebook in
     place of the neural decoder."""
     codebook = ko_encode_graph(model, all_messages(model.k), binding)
-    x = _gather_rows(codebook, _message_indices(msgs))
+    x = _gather_rows(codebook, message_index(msgs))
     y = _transmit_node(x, ch, rng)
     scores = ad.matmul(y, _transpose(codebook))
     return ad.bce_with_logits(softmap_codebook_llrs(scores, model.k), msgs)
@@ -234,9 +234,3 @@ def _gather_rows(a: ad.Node, idx: np.ndarray) -> ad.Node:
         return (out,)
 
     return ad.custom_op(a.value[idx], (a,), vjp)
-
-
-def _message_indices(msgs: np.ndarray) -> np.ndarray:
-    k = msgs.shape[1]
-    weights = (1 << np.arange(k - 1, -1, -1)).astype(np.int64)
-    return msgs.astype(np.int64) @ weights

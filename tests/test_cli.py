@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -258,7 +259,8 @@ class TestTrainCommand:
         argv = ["train", "--m", "2", "--r", "1", "--profile", "tiny", "--epochs", "1",
                 "--dec-steps", "2", "--enc-steps", "0", "--batch-size", "4",
                 "--lr-dec", "1e300", "--checkpoint", str(ckpt)]
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             status, err = run_captured(argv)
         assert status == 1 and "non-finite loss" in err
         assert_clean_failure(status, err, ckpt)

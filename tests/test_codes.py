@@ -3,7 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from plotkinlab.bits import hadamard_matrix
 from plotkinlab.codes import (
+    FIRST_ORDER,
     FROZEN,
     FULL_RATE,
     MAX_TREE_M,
@@ -13,7 +15,11 @@ from plotkinlab.codes import (
     all_messages,
     build_polar_tree,
     build_rm_tree,
+    encode_leaf,
     enumerate_codebook,
+    leaf_codebook,
+    leaf_generator,
+    message_index,
     polar_encode,
     polar_reliabilities,
     polar_spec,
@@ -187,6 +193,40 @@ class TestCodebook:
             cb = enumerate_codebook(build_rm_tree(m, r))
             nonzero = [int(cw.sum()) for cw in cb.codewords if cw.any()]
             assert min(nonzero) == 2 ** (m - r)
+
+    @pytest.mark.parametrize("k", [0, 1, 5, 12])
+    def test_message_index_is_the_row_of_all_messages(self, k):
+        assert np.array_equal(message_index(all_messages(k)), np.arange(2 ** k))
+
+
+LEAVES = [Leaf(REPETITION, 3, 0, 1), Leaf(FIRST_ORDER, 4, 2, 7), Leaf(FULL_RATE, 2, 0, 4)]
+
+
+class TestLeafCodebook:
+    @pytest.mark.parametrize("leaf", LEAVES, ids=lambda lf: lf.label())
+    def test_tables_are_read_only(self, leaf):
+        table = leaf_codebook(leaf)
+        for rows in (table.messages, table.codewords, table.signs, table.bit_is_zero,
+                     leaf_generator(leaf)):
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0] = rows[-1]
+        assert leaf_codebook(leaf) is table and leaf_generator(leaf) is leaf_generator(leaf)
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_first_order_rows_are_the_hadamard_rows_then_their_negations(self, m):
+        leaf = Leaf(FIRST_ORDER, m, 0, m + 1)
+        table = leaf_codebook(leaf)
+        h = hadamard_matrix(m)
+        assert np.array_equal(table.signs, np.concatenate([h, -h]))
+        assert np.array_equal(encode_leaf(leaf, table.messages), table.codewords)
+
+    @pytest.mark.parametrize("leaf", [Leaf(REPETITION, 3, 0, 1), Leaf(FULL_RATE, 2, 0, 4)],
+                             ids=lambda lf: lf.label())
+    def test_other_kinds_list_all_messages(self, leaf):
+        table = leaf_codebook(leaf)
+        assert np.array_equal(table.messages, all_messages(leaf.k))
+        assert np.array_equal(table.bit_is_zero, table.messages.T == 0)
+        assert np.array_equal(table.signs, 1.0 - 2.0 * encode_leaf(leaf, table.messages))
 
 
 class TestPolarReliabilities:

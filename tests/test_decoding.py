@@ -1,9 +1,11 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plotkinlab.bits import bpsk
+from plotkinlab.bits import bpsk, hadamard_matrix
 from plotkinlab.channel import channel_llr
 from plotkinlab.codes import (
     FIRST_ORDER,
@@ -25,7 +27,6 @@ from plotkinlab.decoding import (
     dumer_decode,
     fht,
     fht_map_decode_rm1,
-    hadamard_matrix,
     lse,
     majority_decode_repetition,
     map_decode,
@@ -293,6 +294,21 @@ class TestDumerDecode:
         y = y + 0.01 * np.random.default_rng(1).standard_normal(y.shape)
         res = dumer_decode(tree, channel_llr(y, 0.01))
         assert not res.message.any()
+
+    def test_outputs_are_freed_without_the_cycle_collector(self):
+        tree = build_rm_tree(8, 2)
+        rng = np.random.default_rng(2)
+        msgs = rng.integers(0, 2, (50, tree.k), dtype=np.uint8)
+        llr = channel_llr(bpsk(tree_encode(tree, msgs)) + rng.standard_normal((50, 256)), 1.0)
+        gc.collect()
+        gc.disable()
+        try:
+            dumer_decode(tree, llr, "soft")
+            dumer_decode(tree, llr, "hard")
+            tree_encode(tree, msgs)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("tree", [build_rm_tree(3, 1), build_rm_tree(5, 2),
                                       build_polar_tree(polar_spec(16, 5))],

@@ -27,6 +27,7 @@ from plotkinlab.codes import (
     Leaf,
     build_rm_tree,
     encode_first_order,
+    leaf_codebook,
     leaf_generator,
 )
 from plotkinlab.decoding import (
@@ -35,7 +36,6 @@ from plotkinlab.decoding import (
     dumer_decode,
     fht,
     fht_map_decode_rm1,
-    leaf_decode_data,
     max_log_llrs,
     soft_map_llrs,
     soft_reencode,
@@ -280,7 +280,7 @@ class TestSoftReencodeKernel:
 
 def reference_softmap(leaf, l):
     """Max-log LLRs by brute force over every codeword score."""
-    return max_log_llrs(softmap_scores(leaf, l), leaf_decode_data(leaf.kind, leaf.m).mask0)[0]
+    return max_log_llrs(softmap_scores(leaf, l), leaf_codebook(leaf).bit_is_zero)[0]
 
 
 # Inputs that tie codeword scores: integers, +-1, signed zeros, all +0 or
@@ -350,8 +350,8 @@ class TestFirstOrderSoftMap:
 
 def eager_softmap_node(leaf, feat):
     """softmap_node as it was: the argmax pair formed in the forward pass."""
-    data = leaf_decode_data(leaf.kind, leaf.m)
-    llrs, arg0, arg1 = max_log_llrs(softmap_scores(leaf, feat.value), data.mask0)
+    data = leaf_codebook(leaf)
+    llrs, arg0, arg1 = max_log_llrs(softmap_scores(leaf, feat.value), data.bit_is_zero)
 
     def vjp(g):
         dl = np.zeros_like(feat.value)

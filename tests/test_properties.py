@@ -115,7 +115,7 @@ def test_bler_decomposition_charges_the_first_wrong_leaf(system_args, seed, snr_
     blocks = 200
     contribs, bler = bler_decomposition(system, "awgn", snr_db, blocks, seed=seed)
     ch = make_channel("awgn", snr_to_sigma(snr_db))
-    [(msgs, decoded)] = run_chunks(system, ch, seed, 0, 0, [blocks])
+    [(msgs, decoded)] = run_chunks(system, ch, seed, 0, 0, [blocks], lambda m, d: (m, d))
     assert [c.label for c in contribs] == [lf.label() for lf in tree.message_leaves()]
     assert [c.first_error_blocks for c in contribs] == first_wrong_leaf_counts(tree, msgs, decoded)
     assert sum(c.first_error_blocks for c in contribs) / blocks == bler
