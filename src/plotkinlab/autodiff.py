@@ -241,8 +241,12 @@ def bce_with_logits(llr: Node, targets) -> Node:
 def backward(loss: Node) -> None:
     """Reverse accumulation from a scalar loss into every reachable var.
 
-    Populates node.grad for each node on a path from a var to the loss;
-    vars not reachable keep grad None (treated as zero by the optimizer).
+    Afterwards only the vars and the loss hold a .grad: vars not reachable
+    keep grad None (treated as zero by the optimizer), and each
+    intermediate node drops its gradient and its pullback once the sweep
+    has consumed them, so the sweep holds only the gradients still live.
+    Parent links stay, but a second backward on the same loss is not
+    supported.
     """
     if loss.value.size != 1:
         raise ValueError("backward() needs a scalar loss node")
@@ -264,12 +268,18 @@ def backward(loss: Node) -> None:
     for node in reversed(order):
         if node.grad is None or node.vjp is None:
             continue
-        for parent, pg in zip(node.parents, node.vjp(node.grad)):
+        parent_grads = node.vjp(node.grad)
+        node.vjp = None
+        if node is not loss:
+            node.grad = None
+        for parent, pg in zip(node.parents, parent_grads):
             if not parent.requires:
                 continue
             if parent.grad is None:
-                parent.grad = np.zeros_like(parent.value)
-            parent.grad += pg
+                # pg + 0 is 0 + pg bit for bit (-0 gives +0), in one pass
+                parent.grad = np.add(pg, 0.0, out=np.empty_like(parent.value))
+            else:
+                parent.grad += pg
 
 
 def grad_or_zero(node: Node) -> np.ndarray:

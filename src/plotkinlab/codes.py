@@ -189,7 +189,11 @@ def build_rm_tree(m: int, r: int) -> PlotkinTree:
         u = build(mm - 1, rr, lo, hi - kv)
         return Internal(node_id, v, u, 1 << mm)
 
-    return PlotkinTree(build(m, r, 0, k), m, 1 << m, k, f"RM({m},{r})")
+    try:
+        root = build(m, r, 0, k)
+    finally:
+        del build  # break the closure's self-reference; no cycle for the collector
+    return PlotkinTree(root, m, 1 << m, k, f"RM({m},{r})")
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +445,10 @@ def build_polar_tree(spec: PolarSpec) -> PlotkinTree:
         u = build(mid, p_hi, lo, hi - kv)
         return Internal(node_id, v, u, size)
 
-    root = build(0, spec.n, 0, spec.k, is_root=True)
+    try:
+        root = build(0, spec.n, 0, spec.k, is_root=True)
+    finally:
+        del build  # break the closure's self-reference; no cycle for the collector
     return PlotkinTree(root, m, spec.n, spec.k, f"Polar({spec.n},{spec.k})")
 
 

@@ -197,6 +197,7 @@ def train(model: KoModel, cfg: TrainConfig,
                 gnorm = _grad_norm(grads)
                 adam_step(adam, params, _clip_grads(grads, cfg.clip_norm, gnorm))
                 log.add(phase, epoch, step, float(loss.value), gnorm)
+                del loss, grads  # free this step's tape before the next forward pass
     log.wall_seconds = time.monotonic() - start
     return model, log
 

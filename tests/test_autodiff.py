@@ -15,8 +15,12 @@ from plotkinlab.autodiff import (
     init_weights,
     var,
 )
+from plotkinlab.channel import make_channel, snr_to_sigma
+from plotkinlab.codes import build_rm_tree
 from plotkinlab.decoding import lse as lse_values
 from plotkinlab.decoding import stable_sigmoid
+from plotkinlab.ko import bind, build_ko_model
+from plotkinlab.training import _run_step, _softmap_step, sample_messages
 
 
 class TestForwardValues:
@@ -239,6 +243,122 @@ class TestGradients:
         x = var(np.array(2.0))
         backward(ad.add(ad.mul(x, x), ad.mul(x, x)))
         assert x.grad == pytest.approx(8.0)
+
+
+def reference_backward(loss):
+    """backward as it was before it released consumed gradients and
+    pullbacks: zero-filled gradient seeds, every node keeps its .grad."""
+    order, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen or not node.requires:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node.parents:
+            stack.append((p, False))
+    loss.grad = np.ones_like(loss.value)
+    for node in reversed(order):
+        if node.grad is None or node.vjp is None:
+            continue
+        for parent, pg in zip(node.parents, node.vjp(node.grad)):
+            if not parent.requires:
+                continue
+            if parent.grad is None:
+                parent.grad = np.zeros_like(parent.value)
+            parent.grad += pg
+
+
+def tape(loss):
+    """Every node reachable from the loss through parent links."""
+    seen, stack = {id(loss): loss}, [loss]
+    while stack:
+        for p in stack.pop().parents:
+            if id(p) not in seen:
+                seen[id(p)] = p
+                stack.append(p)
+    return list(seen.values())
+
+
+def unit_broadcast():
+    w, b = var(np.full((3, 2), 0.5)), var(np.array([0.25, -1.0]))
+    x = const(np.arange(12.0).reshape(4, 3))
+    weight = const(np.linspace(-1, 1, 8).reshape(4, 2))
+    return ad.sum_all(ad.mul(ad.add(ad.matmul(x, w), b), weight)), [w, b]
+
+
+def unit_reuse():
+    x = var(np.array([1.5, -2.0, 0.125]))
+    y = ad.selu(ad.mul(x, const(np.array([3.0, 0.5, -7.0]))))
+    return ad.sum_all(ad.add(ad.mul(y, y), ad.sub(y, x))), [x]
+
+
+def unit_negative_zero():
+    # x's first (and only) contribution is 1 * -0.0
+    x = var(np.array([2.0, -3.0]))
+    return ad.sum_all(ad.mul(x, const(np.array([-0.0, 1.0])))), [x]
+
+
+def unit_nan():
+    x, z = var(np.array([1.0, 2.0])), var(np.array([0.5, 0.5]))
+    y = ad.mul(x, const(np.array([np.nan, 1.0])))
+    return ad.sum_all(ad.add(ad.mul(y, z), x)), [x, z]
+
+
+def ko_step(m, r, mode):
+    """One training step's loss and trained vars for a tiny KO model: the
+    decoder phase, the encoder phase or an encoder_only_softmap step."""
+    model = build_ko_model(build_rm_tree(m, r), {"family": "rm", "m": m, "r": r},
+                           "tiny", seed=5)
+    rng = np.random.default_rng(11)
+    msgs = sample_messages(16, model.k, rng)
+    train_enc = mode != "dec"
+    binding = bind(model, train_encoder=train_enc, train_decoder=not train_enc)
+    step = _softmap_step if mode == "softmap" else _run_step
+    loss = step(model, msgs, make_channel("awgn", snr_to_sigma(-1.0)), rng, binding)
+    params = model.encoder_params() if train_enc else model.decoder_params()
+    return loss, [binding[id(p)] for p in params]
+
+
+GRAPHS = {
+    "broadcast": unit_broadcast,
+    "reuse": unit_reuse,
+    "negative_zero": unit_negative_zero,
+    "nan": unit_nan,
+    # k = 37 leaves KO(8,2) out of encoder_only_softmap
+    **{f"ko{m}{r}_{mode}": (lambda m=m, r=r, mode=mode: ko_step(m, r, mode))
+       for m, r, modes in ((3, 1, ("dec", "enc", "softmap")), (8, 2, ("dec", "enc")))
+       for mode in modes},
+}
+
+
+class TestBackwardRelease:
+    @pytest.mark.parametrize("name", list(GRAPHS))
+    def test_var_gradients_bit_identical_to_reference(self, name):
+        ref_loss, ref_vars = GRAPHS[name]()
+        reference_backward(ref_loss)
+        loss, vars_ = GRAPHS[name]()
+        backward(loss)
+        for want, got in zip(ref_vars, vars_, strict=True):
+            assert (want.grad is None) == (got.grad is None)
+            if want.grad is not None:
+                assert np.array_equal(want.grad.view(np.int64), got.grad.view(np.int64))
+
+    @pytest.mark.parametrize("name", ["reuse", "ko31_dec", "ko31_softmap"])
+    def test_only_vars_and_loss_keep_gradients(self, name):
+        loss, vars_ = GRAPHS[name]()
+        nodes = tape(loss)
+        parents = {id(n): n.parents for n in nodes}
+        backward(loss)
+        assert loss.grad is not None
+        assert any(v.grad is not None for v in vars_)
+        for node in nodes:
+            assert node.parents is parents[id(node)]
+            if node is not loss and node.parents:
+                assert node.grad is None and node.vjp is None
 
 
 class TestAdam:

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -297,19 +298,37 @@ class TestChannelPass:
 
 class TestTapeLifetime:
     def test_refcounting_alone_frees_every_tape(self):
-        """No step or inference call leaves a reference cycle behind, so the
-        tape is freed when the step ends, not at a later cyclic collection."""
-        model = make_model(3, 1, seed=2)
+        """No tree construction, step or inference call leaves a reference
+        cycle behind, so the tape is freed when the step ends, not at a
+        later cyclic collection."""
         alternating = TrainConfig(epochs=1, dec_steps=2, enc_steps=2, batch_size=20, seed=3)
         softmap = TrainConfig(epochs=1, dec_steps=0, enc_steps=2, batch_size=20, seed=3,
                               mode="encoder_only_softmap")
-        train(model, alternating)
+        train(make_model(3, 1, seed=2), alternating)
         gc.collect()
         gc.disable()
         try:
+            model = make_model(3, 1, seed=2)
             train(model, alternating)
             train(model, softmap)
             ko_decode(model, ko_encode(model, np.ones((4, 4), dtype=np.uint8)))
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_second_step_does_not_carry_the_first_steps_tape(self):
+        """A 2-step run peaks like a 1-step run: each step's tape is freed
+        before the next step's forward pass, and backward frees each
+        intermediate gradient once consumed."""
+
+        def peak(steps):
+            model = make_model(8, 2)
+            tracemalloc.start()
+            try:
+                train(model, TrainConfig(epochs=1, dec_steps=steps, enc_steps=0,
+                                         batch_size=100, seed=1))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(2) <= 1.2 * peak(1)
