@@ -130,15 +130,21 @@ def selu_into(x: np.ndarray, out: np.ndarray, ex: np.ndarray, slope: bool = Fals
     """Write L*max(x, 0) + L*A*(exp(min(x, 0)) - 1) to out, which may be x,
     using ex (x's shape) as scratch: bit-identical to selecting either term
     by the sign of x, as the other one is exactly 0. Returns the derivative
-    if slope is set, else None."""
+    if slope is set, else None: L*A*exp(min(x, 0)), less the exact
+    L*A - L where x > 0, which leaves exactly L there."""
     np.minimum(x, 0.0, out=ex)
     np.exp(ex, out=ex)
-    dx = np.where(x > 0, SELU_LAMBDA, SELU_LAMBDA * SELU_ALPHA * ex) if slope else None
+    dx = np.multiply(SELU_LAMBDA * SELU_ALPHA, ex) if slope else None
     ex -= 1.0
     ex *= SELU_LAMBDA * SELU_ALPHA
     np.maximum(x, 0.0, out=out)
     out *= SELU_LAMBDA
     out += ex
+    if slope:
+        # if out is x, x now holds selu(x), which is > 0 exactly where x is
+        np.greater(x, 0.0, out=ex)
+        ex *= SELU_LAMBDA * SELU_ALPHA - SELU_LAMBDA
+        dx -= ex
     return dx
 
 
@@ -280,6 +286,7 @@ def backward(loss: Node) -> None:
                 parent.grad = np.add(pg, 0.0, out=np.empty_like(parent.value))
             else:
                 parent.grad += pg
+        del parent_grads, pg  # consumed: free them before the next pullback runs
 
 
 def grad_or_zero(node: Node) -> np.ndarray:

@@ -37,6 +37,11 @@ SOFT_MAP = "soft"
 # takes 1 MB, so its butterflies run in cache.
 FHT_TILE_ROWS = 1024
 
+# Rows per block in which dumer_decode transposes an input tile: on a
+# 2-vCPU Xeon host a 1,024 x 256 tile took 1.3 ms in one copy, 0.5 ms in
+# blocks, which stay in cache.
+TRANSPOSE_ROWS = 128
+
 # Floats per dumer_decode row tile, so a node's arrays stay in cache.
 DECODE_TILE_FLOATS = 1 << 18
 
@@ -77,21 +82,59 @@ def lse(a, b) -> np.ndarray:
     sign(a)*sign(b)*min(|a|,|b|) + log1p(e^-|a+b|) - log1p(e^-|a-b|),
     which never exponentiates a positive argument and so is finite for all
     float inputs. |lse(a,b)| <= min(|a|,|b|) and the sign multiplies.
+    Broadcasts; 0-d input gives a numpy scalar.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    mag = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
-    return mag + np.log1p(np.exp(-np.abs(a + b))) - np.log1p(np.exp(-np.abs(a - b)))
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    out = _lse_into(a, b, np.empty(shape), np.empty(shape))
+    return out if out.ndim else out[()]
 
 
-def parity_adjusted_add(l1, l2, v_hat) -> np.ndarray:
-    """l1 + s*l2 where s = (-1)^v for hard bits or the soft sign itself."""
+def _lse_into(a, b, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """lse(a, b) written to out, with scratch (out's shape) as workspace.
+
+    The leading term is copysign(min(|a|, |b|), a*b): a*b keeps the sign of
+    the product where it underflows to zero or overflows to infinity, so
+    this is sign(a)*sign(b)*min(|a|, |b|) bit for bit up to the sign of a
+    zero, which adding the first correction (never -0) erases. The two
+    corrections then follow in place, in the order of the formula.
+    """
+    np.abs(a, out=out)
+    np.abs(b, out=scratch)
+    np.minimum(out, scratch, out=out)
+    # 0*inf is NaN, and copysign of the zero minimum then gives -0
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(a, b, out=scratch)
+    np.copysign(out, scratch, out=out)
+    for op in (np.add, np.subtract):
+        op(a, b, out=scratch)
+        np.copysign(scratch, -1.0, out=scratch)  # -|x| in one pass
+        np.exp(scratch, out=scratch)
+        np.log1p(scratch, out=scratch)
+        op(out, scratch, out=out)
+    return out
+
+
+def parity_adjusted_add(l1, l2, v_hat, out=None) -> np.ndarray:
+    """l1 + s*l2 where s = (-1)^v for hard bits or the soft sign itself,
+    written to out if given (which must not overlap l1, l2 or v_hat)."""
     l1 = np.asarray(l1, dtype=np.float64)
     l2 = np.asarray(l2, dtype=np.float64)
     v = np.asarray(v_hat)
     if l1.shape[-1] != l2.shape[-1] or v.shape[-1] != l1.shape[-1]:
         raise ValueError("length mismatch between LLR halves and parity word")
-    return l1 + (v if v.dtype.kind == "f" else 1.0 - 2.0 * v) * l2
+    if out is None:
+        out = np.empty(np.broadcast_shapes(l1.shape, l2.shape, v.shape))
+    if v.dtype.kind == "f":
+        np.multiply(v, l2, out=out)
+    else:
+        # -2v + 1 is 1 - 2v exactly for bits v in {0, 1}
+        np.multiply(v, -2.0, out=out)
+        out += 1.0
+        out *= l2
+    # l1 first, as in l1 + s*l2: of two NaN operands the sum keeps the first
+    return np.add(l1, out, out=out)
 
 
 def majority_decode_repetition(l) -> np.ndarray:
@@ -101,13 +144,18 @@ def majority_decode_repetition(l) -> np.ndarray:
 
 
 def stable_sigmoid(x) -> np.ndarray:
+    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) otherwise, so exp never
+    sees a positive argument: exp(min(x, 0)) / (1 + exp(min(x, -x))), whose
+    numerator is exactly 1 where x >= 0. No mask selects a branch, and
+    minimum keeps a NaN's sign bit, where -|x| would flip it."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    d = np.negative(x, out=np.empty_like(x))  # out= keeps 0-d input an array
+    np.minimum(x, d, out=d)
+    np.exp(d, out=d)
+    d += 1.0
+    num = np.minimum(x, 0.0, out=np.empty_like(x))
+    np.exp(num, out=num)
+    return np.divide(num, d, out=num)
 
 
 def fht(l) -> np.ndarray:
@@ -137,18 +185,24 @@ def fht_tiles(rows: np.ndarray):
     tile = max(1, min(FHT_TILE_ROWS, rows.shape[0]))
     diff = np.empty(n // 2 * tile)
     for start in range(0, rows.shape[0], tile):
-        buf = rows[start:start + tile].T.copy()
-        width = buf.shape[1]
-        h = 1
-        while h < n:
-            pairs = buf.reshape(n // (2 * h), 2, h * width)
-            a, b = pairs[:, 0], pairs[:, 1]
-            t = diff[:n // 2 * width].reshape(a.shape)
-            np.subtract(a, b, out=t)
-            a += b
-            b[...] = t
-            h *= 2
-        yield start, buf
+        yield start, _butterflies(rows[start:start + tile].T.copy(), diff)
+
+
+def _butterflies(buf: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """Transform a C-contiguous batch-major (n, w) array in place, with diff
+    (n/2 * w floats or more) as scratch: each butterfly is an in-place pass
+    over contiguous rows. Returns buf."""
+    n, width = buf.shape
+    h = 1
+    while h < n:
+        pairs = buf.reshape(n // (2 * h), 2, h * width)
+        a, b = pairs[:, 0], pairs[:, 1]
+        t = diff[:n // 2 * width].reshape(a.shape)
+        np.subtract(a, b, out=t)
+        a += b
+        b[...] = t
+        h *= 2
+    return buf
 
 
 def map_decode(codebook: Codebook, l) -> tuple[np.ndarray, np.ndarray]:
@@ -177,15 +231,24 @@ def fht_map_decode_rm1(l, m: int) -> tuple[np.ndarray, np.ndarray]:
     """
     l = np.asarray(l, dtype=np.float64)
     single = l.ndim == 1
-    t = np.atleast_2d(fht(l))
-    n = t.shape[1]
-    if n != 1 << m:
-        raise ValueError(f"LLR length {n} != 2^{m}")
-    best = np.argmax(np.abs(t), axis=1)
-    best += n * (t[np.arange(t.shape[0]), best] < 0)
+    rows = np.atleast_2d(l)
+    if rows.shape[-1] != 1 << m:
+        raise ValueError(f"LLR length {rows.shape[-1]} != 2^{m}")
+    best = np.empty(rows.shape[0], dtype=np.intp)
+    for start, t in fht_tiles(rows):
+        best[start:start + t.shape[1]] = _rm1_best(t)
     table = leaf_codebook(Leaf(FIRST_ORDER, m, 0, m + 1))
     cw, msg = table.codewords[best], table.messages[best]
     return (cw[0], msg[0]) if single else (cw, msg)
+
+
+def _rm1_best(t: np.ndarray) -> np.ndarray:
+    """The leaf_codebook row of each column of a batch-major (n, w)
+    transform: i* = argmax |t_i|, plus n if t_i* < 0. t is left holding |t|."""
+    neg = t < 0
+    best = np.argmax(np.abs(t, out=t), axis=0)
+    best += t.shape[0] * neg[best, np.arange(t.shape[1])]
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -247,20 +310,25 @@ def softmap_forward(leaf: Leaf, l: np.ndarray) -> np.ndarray:
     bit_is_zero = leaf_codebook(leaf).bit_is_zero
     if leaf.kind != FIRST_ORDER:
         return max_log_llrs(softmap_scores(leaf, l), bit_is_zero)[0]
-    n = leaf.length
     llrs = np.empty((l.shape[0], leaf.k))
     for start, t in fht_tiles(l):
-        width = t.shape[1]
-        out = llrs[start:start + width].T
-        np.add(t.max(axis=0), t.min(axis=0), out=out[0])
-        mag = np.abs(t)
-        for j in range(1, leaf.m + 1):
-            halves = mag.reshape(n >> j, 2, 1 << (j - 1), width).max(axis=(0, 2))
-            np.subtract(halves[0], halves[1], out=out[j])
-        redo = start + np.flatnonzero(~(mag.max(axis=0) > 0))
+        redo = start + np.flatnonzero(_first_order_llrs(leaf, t, llrs[start:start + t.shape[1]].T))
         if redo.size:
             llrs[redo] = max_log_llrs(softmap_scores(leaf, l[redo]), bit_is_zero)[0]
     return llrs
+
+
+def _first_order_llrs(leaf: Leaf, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """softmap_forward's closed form on a batch-major (n, w) transform t,
+    written to out (k, w); t is left holding |t|. Returns the mask of the
+    columns the search must redo."""
+    n, width = t.shape
+    np.add(t.max(axis=0), t.min(axis=0), out=out[0])
+    mag = np.abs(t, out=t)
+    for j in range(1, leaf.m + 1):
+        halves = mag.reshape(n >> j, 2, 1 << (j - 1), width).max(axis=(0, 2))
+        np.subtract(halves[0], halves[1], out=out[j])
+    return ~(mag.max(axis=0) > 0)
 
 
 def soft_map_llrs(leaf: Leaf, l) -> np.ndarray:
@@ -289,19 +357,25 @@ def soft_reencode(leaf: Leaf, soft_bits) -> np.ndarray:
         out = np.ones((p.shape[0], leaf.length))
     elif leaf.kind == FIRST_ORDER:
         out = np.empty((p.shape[0], leaf.length))
-        # Generator row j >= 1 is parity_table row 2^(j-1): position x holds
-        # t_0 times t_j for each set bit j-1 of x. Doubling the filled prefix
-        # by t_j appends t_j as the last factor, the order of message bits.
-        out[:, 0] = t[:, 0]
-        for j in range(1, leaf.m + 1):
-            half = 1 << (j - 1)
-            np.multiply(out[:, :half], t[:, j:j + 1], out=out[:, half:2 * half])
+        _first_order_lift(t.T, out.T)
     else:
         gen = leaf_generator(leaf)
         out = np.ones((p.shape[0], leaf.length))
         for i in range(gen.shape[0]):
             out *= np.where(gen[i] == 1, t[:, i:i + 1], 1.0)
     return out[0] if single else out
+
+
+def _first_order_lift(t: np.ndarray, out: np.ndarray) -> None:
+    """soft_reencode of a first-order leaf in batch-major layout: out
+    (2^m, w) from the soft signs t (m + 1, w). Generator row j >= 1 is
+    parity_table row 2^(j-1): position x holds t_0 times t_j for each set
+    bit j-1 of x. Doubling the filled prefix by t_j appends t_j as the last
+    factor, the order of message bits."""
+    out[0] = t[0]
+    for j in range(1, t.shape[0]):
+        half = 1 << (j - 1)
+        np.multiply(out[:half], t[j], out=out[half:2 * half])
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +410,10 @@ def dumer_decode(tree: PlotkinTree, llr, leaf_rule: str = HARD_MAP) -> DecodeRes
     // n) rows, the last taking the remainder, so every tile decodes bit for
     bit as one tile of the whole batch would: below the floor, or at one
     row (gemv), BLAS would round the rows of its products differently.
+    Each tile runs batch-major, as (length, rows) arrays, in a workspace
+    allocated once per call, so no node allocates and every elementwise
+    pass covers contiguous memory; the values are those of the row-major
+    kernels, bit for bit.
     """
     llr = clip_llrs(llr)
     single = llr.ndim == 1
@@ -345,45 +423,92 @@ def dumer_decode(tree: PlotkinTree, llr, leaf_rule: str = HARD_MAP) -> DecodeRes
     if leaf_rule not in (HARD_MAP, SOFT_MAP):
         raise ValueError(f"unknown leaf rule {leaf_rule!r}")
     batch = l2.shape[0]
+    soft = leaf_rule == SOFT_MAP
     message = np.zeros((batch, tree.k), dtype=np.uint8)
-    out_llrs = np.zeros((batch, tree.k), dtype=np.float64) if leaf_rule == SOFT_MAP else None
+    out_llrs = np.zeros((batch, tree.k), dtype=np.float64) if soft else None
 
-    def decode_leaf(leaf: Leaf, feat: np.ndarray) -> np.ndarray:
+    def decode_leaf(leaf: Leaf, feat: np.ndarray, out: np.ndarray) -> None:
+        """Decode a leaf from its batch-major (length, rows) feature and
+        write its batch-major codeword to out. A first-order leaf transforms
+        a copy of its feature in the scratch buffer; the others read a
+        row-major copy, the layout their BLAS products and sums always saw."""
         if leaf.kind == FROZEN:
-            if leaf_rule == SOFT_MAP:
-                return np.ones((feat.shape[0], leaf.length))
-            return np.zeros((feat.shape[0], leaf.length), dtype=np.uint8)
-        if leaf_rule == SOFT_MAP:
-            llrs = softmap_forward(leaf, feat)
-            bits = (llrs < 0).astype(np.uint8)
-            out_llrs[rows, leaf.lo:leaf.hi] = llrs
-            cw = soft_reencode(leaf, stable_sigmoid(-llrs))
-        elif leaf.kind == REPETITION:
-            bits = majority_decode_repetition(feat)[:, None]
-            cw = np.repeat(bits, leaf.length, axis=1)
-        elif leaf.kind == FIRST_ORDER:
-            cw, bits = fht_map_decode_rm1(feat, leaf.m)
+            out.fill(1 if soft else 0)
+            return
+        if leaf.kind == FIRST_ORDER:
+            t = scratch[:feat.size].reshape(feat.shape)
+            np.copyto(t, feat)
+            _butterflies(t, diff)
         else:
-            bits, cw = map_decode(leaf_codebook(leaf), feat)
+            by_row = np.ascontiguousarray(feat.T)
+        if soft:
+            if leaf.kind == FIRST_ORDER:
+                llrs = np.empty((leaf.k, feat.shape[1]))
+                redo = np.flatnonzero(_first_order_llrs(leaf, t, llrs))
+                if redo.size:
+                    llrs[:, redo] = softmap_forward(leaf, feat[:, redo].T).T
+            else:
+                llrs = softmap_forward(leaf, by_row).T
+            out_llrs[rows, leaf.lo:leaf.hi] = llrs.T
+            message[rows, leaf.lo:leaf.hi] = llrs.T < 0
+            p = stable_sigmoid(-llrs)
+            if leaf.kind == FIRST_ORDER:
+                _first_order_lift(1.0 - 2.0 * p, out)
+            else:
+                out[...] = soft_reencode(leaf, p.T).T
+            return
+        if leaf.kind == REPETITION:
+            bits = majority_decode_repetition(by_row)[:, None]
+            out[...] = bits.T
+        elif leaf.kind == FIRST_ORDER:
+            table, best = leaf_codebook(leaf), _rm1_best(t)
+            bits = table.messages[best]
+            out[...] = table.codewords[best].T
+        else:
+            bits, cw = map_decode(leaf_codebook(leaf), by_row)
+            out[...] = cw.T
         message[rows, leaf.lo:leaf.hi] = bits
-        return cw
 
-    def rec(node, feat: np.ndarray) -> np.ndarray:
-        if isinstance(node, Leaf):
-            return decode_leaf(node, feat)
-        half = node.length // 2
-        f1, f2 = feat[:, :half], feat[:, half:]
-        v_cw = rec(node.v, lse(f1, f2))
-        u_cw = rec(node.u, parity_adjusted_add(f1, f2, v_cw))
-        combined = u_cw * v_cw if u_cw.dtype.kind == "f" else u_cw ^ v_cw
-        return np.concatenate([u_cw, combined], axis=1)
-
+    # One workspace per call, sized for the largest tile and batch-major, so
+    # each half of a node is one contiguous block: the transposed input, a
+    # feature buffer per child width (one node of each width is live at a
+    # time, and its v then u feature reuse the buffer), one scratch buffer
+    # (lse's, then a first-order leaf's transform), the butterflies'
+    # difference buffer, and the codeword, which each node writes as [u; v]
+    # and combines in place.
     tile = max(FHT_TILE_ROWS, DECODE_TILE_FLOATS // tree.n)
     starts = range(0, max(batch - tile, 0) + 1, tile)
+    span = batch - starts[-1]
+    widest = max([lf.length for lf in tree.leaves() if lf.kind == FIRST_ORDER], default=0)
+    root = np.empty(tree.n * span)
+    feats = {nd.length // 2: np.empty(nd.length // 2 * span) for nd in tree.internal_nodes()}
+    scratch = np.empty(max(tree.n // 2, widest) * span)
+    diff = np.empty(widest // 2 * span)
+    codeword = np.empty(tree.n * span, dtype=np.float64 if soft else np.uint8)
+
+    def rec(node, feat: np.ndarray, out: np.ndarray) -> None:
+        if isinstance(node, Leaf):
+            decode_leaf(node, feat, out)
+            return
+        half = node.length // 2
+        f1, f2 = feat[:half], feat[half:]
+        u_out, v_out = out[:half], out[half:]
+        child = feats[half][:f1.size].reshape(f1.shape)
+        rec(node.v, _lse_into(f1, f2, child, scratch[:f1.size].reshape(f1.shape)), v_out)
+        rec(node.u, parity_adjusted_add(f1, f2, v_out, out=child), u_out)
+        if soft:
+            v_out *= u_out
+        else:
+            v_out ^= u_out
+
     try:
         for lo, hi in zip(starts, [*starts[1:], batch]):
             rows = slice(lo, hi)
-            rec(tree.root, l2[rows])
+            shape = (tree.n, hi - lo)
+            feat = root[:tree.n * (hi - lo)].reshape(shape)
+            for i in range(lo, hi, TRANSPOSE_ROWS):
+                np.copyto(feat[:, i - lo:i - lo + TRANSPOSE_ROWS], l2[i:min(i + TRANSPOSE_ROWS, hi)].T)
+            rec(tree.root, feat, codeword[:feat.size].reshape(shape))
     finally:
         del rec  # break the closure's self-reference so refcounting frees message
     if single:

@@ -33,7 +33,6 @@ from plotkinlab.decoding import (
     parity_adjusted_add,
     soft_map_llrs,
     soft_reencode,
-    softmap_forward,
 )
 
 finite_llrs = st.floats(-1e3, 1e3, allow_nan=False)
@@ -314,13 +313,18 @@ class TestDumerDecode:
                                       build_polar_tree(polar_spec(16, 5))],
                              ids=["rm31", "rm52", "polar16_5"])
     def test_leaves_decode_in_tree_order(self, monkeypatch, tree):
+        # a soft first-order leaf takes its closed form straight from the
+        # decoder's transform; the other leaves go through softmap_forward
         seen = []
 
-        def recording(leaf, feat):
-            seen.append(leaf)
-            return softmap_forward(leaf, feat)
+        def recording(kernel):
+            def record(leaf, *args):
+                seen.append(leaf)
+                return kernel(leaf, *args)
+            return record
 
-        monkeypatch.setattr(decoding, "softmap_forward", recording)
+        for name in ("softmap_forward", "_first_order_llrs"):
+            monkeypatch.setattr(decoding, name, recording(getattr(decoding, name)))
         dumer_decode(tree, np.ones(tree.n), "soft")
         assert seen == tree.message_leaves()
 

@@ -4,10 +4,14 @@ Each reference below is the straightforward expression the kernel computes:
 the np.stack butterfly transform, the GF(2) matmul first-order encoder, the
 codeword rebuilt from a float Hadamard row, the arithmetic BPSK map and
 channel, the taped dense block, the np.prod soft re-encoder and its
-np.delete pullback, the brute-force max-log search over a leaf's codebook
-and the soft-MAP node that forms its argmax pair eagerly. The kernels must
-reproduce them bit for bit, not just to rounding.
+np.delete pullback, the brute-force max-log search over a leaf's codebook,
+the soft-MAP node that forms its argmax pair eagerly, and the allocating
+forms of lse, stable_sigmoid, parity_adjusted_add and the SELU slope. The
+kernels must reproduce them bit for bit, not just to rounding.
 """
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,22 +29,32 @@ from plotkinlab.codes import (
     FULL_RATE,
     REPETITION,
     Leaf,
+    PlotkinTree,
+    build_polar_tree,
     build_rm_tree,
     encode_first_order,
     leaf_codebook,
     leaf_generator,
+    polar_spec,
 )
 from plotkinlab.decoding import (
     FHT_TILE_ROWS,
+    HARD_MAP,
+    LLR_LIMIT,
     SOFT_MAP,
     dumer_decode,
     fht,
     fht_map_decode_rm1,
+    lse,
+    majority_decode_repetition,
+    map_decode,
     max_log_llrs,
+    parity_adjusted_add,
     soft_map_llrs,
     soft_reencode,
     softmap_forward,
     softmap_scores,
+    stable_sigmoid,
 )
 from plotkinlab.ko import (
     build_ko_model,
@@ -429,3 +443,231 @@ class TestLeafPullbacks:
         lazy = trained_bytes(tmp_path / "lazy.json")
         monkeypatch.setattr(ko_module, "softmap_node", eager_softmap_node)
         assert trained_bytes(tmp_path / "eager.json") == lazy
+
+
+def reference_lse(a, b):
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    mag = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
+    return mag + np.log1p(np.exp(-np.abs(a + b))) - np.log1p(np.exp(-np.abs(a - b)))
+
+
+def reference_stable_sigmoid(x):
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def reference_parity_adjusted_add(l1, l2, v):
+    l1 = np.asarray(l1, dtype=np.float64)
+    l2 = np.asarray(l2, dtype=np.float64)
+    v = np.asarray(v)
+    return l1 + (v if v.dtype.kind == "f" else 1.0 - 2.0 * v) * l2
+
+
+def reference_selu_slope(x):
+    ex = np.exp(np.minimum(x, 0.0))
+    return np.where(x > 0, ad.SELU_LAMBDA, ad.SELU_LAMBDA * ad.SELU_ALPHA * ex)
+
+
+# SPECIALS with both NaN signs, the decoders' clip and a few ordinary values
+GRID = np.concatenate([SPECIALS, [np.nan, -np.nan, LLR_LIMIT, -LLR_LIMIT, 1.0, -2.5,
+                                  1e-200, -1e-200, 700.0, -745.0]])
+
+
+def kernel_tiles(rng):
+    """A 1,024 x 128 Gaussian tile at mixed scales and a special_inputs tile."""
+    x = rng.standard_normal((TILE, 128)) * 10.0 ** rng.integers(-3, 4, (TILE, 128))
+    return [x, special_inputs(rng, 257, 64)]
+
+
+class TestClassicalKernels:
+    """lse, stable_sigmoid, parity_adjusted_add and the SELU slope against
+    their allocating forms, as int64 bit patterns: NaN signs, -0 and
+    infinities included."""
+
+    def grid_pairs(self):
+        return np.meshgrid(GRID, GRID)
+
+    def test_lse_grid_and_tiles(self):
+        a, b = self.grid_pairs()
+        rng = np.random.default_rng(11)
+        pairs = [(a, b)] + [(x, y) for x, y in zip(kernel_tiles(rng), kernel_tiles(rng))]
+        for x, y in pairs:
+            with np.errstate(all="ignore"):
+                assert same_bits(lse(x, y), reference_lse(x, y))
+
+    def test_lse_zero_d_and_broadcast(self):
+        for a, b in [(0.0, 3.0), (-0.0, 1e300), (2.5, -1.0), (np.nan, 1.0), (1e-320, -4.0)]:
+            got = lse(a, b)
+            assert isinstance(got, np.float64)
+            assert same_bits(np.asarray(got), np.asarray(reference_lse(a, b)))
+        a = np.random.default_rng(12).standard_normal((5, 1))
+        b = np.random.default_rng(13).standard_normal(7)
+        for x, y in [(a, b), (b, a), (a, 0.5), (-2.0, b)]:
+            assert same_bits(lse(x, y), reference_lse(x, y))
+
+    def test_lse_at_the_clip_warns_of_nothing(self):
+        """At +/-LLR_LIMIT a*b overflows to an infinity of the right sign;
+        the overflow stays inside lse."""
+        rng = np.random.default_rng(14)
+        a = rng.choice([LLR_LIMIT, -LLR_LIMIT, 0.0, -0.0, 1.0, 5e-324], size=(64, 32))
+        b = rng.choice([LLR_LIMIT, -LLR_LIMIT, 0.0, -0.0, -1.0, 5e-324], size=(64, 32))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = lse(a, b)
+        assert same_bits(got, reference_lse(a, b))
+
+    def test_stable_sigmoid_grid_tiles_and_zero_d(self):
+        rng = np.random.default_rng(15)
+        for x in [GRID, *kernel_tiles(rng), np.asarray(-0.0), np.asarray(np.nan), np.asarray(3.0)]:
+            with np.errstate(all="ignore"):
+                got = stable_sigmoid(x)
+                assert same_bits(got, reference_stable_sigmoid(x))
+
+    @pytest.mark.parametrize("v", ["uint8", "bool", "soft"])
+    def test_parity_adjusted_add_grid_and_tiles(self, v):
+        a, b = self.grid_pairs()
+        rng = np.random.default_rng(16)
+        pairs = [(a, b)] + [(x, y) for x, y in zip(kernel_tiles(rng), kernel_tiles(rng))]
+        for x, y in pairs:
+            if v == "soft":
+                word = rng.choice(np.concatenate([GRID, rng.uniform(-1, 1, 8)]), size=x.shape)
+            else:
+                word = rng.integers(0, 2, size=x.shape).astype(v)
+            with np.errstate(all="ignore"):
+                want = reference_parity_adjusted_add(x, y, word)
+                assert same_bits(parity_adjusted_add(x, y, word), want)
+                out = np.empty_like(want)
+                assert parity_adjusted_add(x, y, word, out=out) is out
+            assert same_bits(out, want)
+
+    def test_parity_adjusted_add_broadcast(self):
+        rng = np.random.default_rng(17)
+        l1, l2 = rng.standard_normal((4, 8)), rng.standard_normal(8)
+        for word in (rng.integers(0, 2, 8).astype(np.uint8), rng.uniform(-1, 1, (3, 1, 8))):
+            assert same_bits(parity_adjusted_add(l1, l2, word),
+                             reference_parity_adjusted_add(l1, l2, word))
+
+    def test_selu_slope_grid_and_tiles(self):
+        rng = np.random.default_rng(18)
+        for x in [GRID, *kernel_tiles(rng)]:
+            with np.errstate(all="ignore"):
+                want = reference_selu_slope(x)
+                got = ad.selu_into(x, np.empty_like(x), np.empty_like(x), slope=True)
+                assert same_bits(got, want)
+                # in place: x then holds selu(x), which is > 0 exactly where x is
+                y = x.copy()
+                assert same_bits(ad.selu_into(y, y, np.empty_like(y), slope=True), want)
+
+
+def reference_dumer_decode(tree, llr, rule):
+    """dumer_decode as the row-major recursion over the public kernels: each
+    node allocates its features and concatenates [u | u*v] (or u ^ v), over
+    the same row tiles."""
+    llr = np.clip(np.atleast_2d(np.asarray(llr, dtype=np.float64)), -LLR_LIMIT, LLR_LIMIT)
+    message = np.zeros((llr.shape[0], tree.k), dtype=np.uint8)
+    llrs = np.zeros((llr.shape[0], tree.k))
+
+    def leaf_codeword(leaf, feat, rows):
+        if leaf.kind == FROZEN:
+            if rule == SOFT_MAP:
+                return np.ones((feat.shape[0], leaf.length))
+            return np.zeros((feat.shape[0], leaf.length), dtype=np.uint8)
+        if rule == SOFT_MAP:
+            l = softmap_forward(leaf, feat)
+            llrs[rows, leaf.lo:leaf.hi] = l
+            message[rows, leaf.lo:leaf.hi] = l < 0
+            return soft_reencode(leaf, stable_sigmoid(-l))
+        if leaf.kind == REPETITION:
+            bits = majority_decode_repetition(feat)[:, None]
+            cw = np.repeat(bits, leaf.length, axis=1)
+        elif leaf.kind == FIRST_ORDER:
+            cw, bits = fht_map_decode_rm1(feat, leaf.m)
+        else:
+            bits, cw = map_decode(leaf_codebook(leaf), feat)
+        message[rows, leaf.lo:leaf.hi] = bits
+        return cw
+
+    def rec(node, feat, rows):
+        if isinstance(node, Leaf):
+            return leaf_codeword(node, feat, rows)
+        half = node.length // 2
+        f1, f2 = feat[:, :half], feat[:, half:]
+        v = rec(node.v, reference_lse(f1, f2), rows)
+        u = rec(node.u, reference_parity_adjusted_add(f1, f2, v), rows)
+        return np.concatenate([u, u * v if u.dtype.kind == "f" else u ^ v], axis=1)
+
+    tile = max(TILE, decoding_module.DECODE_TILE_FLOATS // tree.n)
+    starts = list(range(0, max(llr.shape[0] - tile, 0) + 1, tile))
+    for lo, hi in zip(starts, starts[1:] + [llr.shape[0]]):
+        rec(tree.root, llr[lo:hi], slice(lo, hi))
+    return message, (llrs if rule == SOFT_MAP else None)
+
+
+def decode_bits(result):
+    return (result.message.tobytes(), None if result.llrs is None else result.llrs.tobytes())
+
+
+class TestDumerWorkspace:
+    """dumer_decode's batch-major recursion in a per-call workspace: it
+    decodes as the row-major recursion does, concurrent calls do not share
+    the workspace, and the outputs own their memory."""
+
+    @pytest.mark.parametrize("rule", [HARD_MAP, SOFT_MAP])
+    def test_concurrent_decodes_match_sequential(self, rule):
+        rng = np.random.default_rng(19)
+        trees = [build_rm_tree(8, 2), build_rm_tree(7, 3), build_rm_tree(8, 2),
+                 build_polar_tree(polar_spec(64, 7))]
+        inputs = [rng.standard_normal((rows, tree.n)) + 0.5
+                  for rows, tree in zip((2 * TILE + 3, 700, TILE, 4 * TILE + 1), trees)]
+        want = [decode_bits(dumer_decode(t, y, rule)) for t, y in zip(trees, inputs)]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(dumer_decode, t, y, rule) for t, y in zip(trees, inputs)]
+            got = [decode_bits(f.result(timeout=120)) for f in futures]
+        assert got == want
+
+    @pytest.mark.parametrize("rule", [HARD_MAP, SOFT_MAP])
+    @pytest.mark.parametrize("code", ["rm82", "rm73", "rm71", "rm33", "rm40", "polar64_7",
+                                      "polar128_40", "first_order_root"])
+    def test_matches_row_major_recursion(self, rule, code):
+        """The batch-major recursion against the row-major one, bit for bit,
+        on rows of signed zeros, subnormals and the clip, across tiles. In
+        RM and Polar trees a first-order leaf sees only lse outputs, never
+        mixed signed zeros; a first-order root gets them, so its zero rows
+        take the search."""
+        tree = {"rm82": build_rm_tree(8, 2), "rm73": build_rm_tree(7, 3),
+                "rm71": build_rm_tree(7, 1), "rm33": build_rm_tree(3, 3),
+                "rm40": build_rm_tree(4, 0), "polar64_7": build_polar_tree(polar_spec(64, 7)),
+                "polar128_40": build_polar_tree(polar_spec(128, 40)),
+                "first_order_root": PlotkinTree(first_order(5), 5, 32, 6, "RM(5,1) leaf")}[code]
+        rng = np.random.default_rng(tree.n + tree.k)
+        tile = max(TILE, decoding_module.DECODE_TILE_FLOATS // tree.n)
+        llr = 2.0 * (0.5 + rng.standard_normal((tile + 7, tree.n)))
+        llr[:3] = 0.0
+        llr[3] = -0.0
+        llr[4] = rng.choice([0.0, -0.0], size=tree.n)
+        llr[5] = rng.choice([5e-324, -5e-324, LLR_LIMIT, -LLR_LIMIT, 1.0], size=tree.n)
+        llr[tile + 1:tile + 3] = rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0], size=(2, tree.n))
+        for rows in (1, 7, tile + 7):
+            got = dumer_decode(tree, llr[:rows], rule)
+            message, llrs = reference_dumer_decode(tree, llr[:rows], rule)
+            assert np.array_equal(got.message, message), rows
+            if rule == SOFT_MAP:
+                assert same_bits(got.llrs, llrs), rows
+
+    @pytest.mark.parametrize("rule", [HARD_MAP, SOFT_MAP])
+    @pytest.mark.parametrize("rows", [None, 1, TILE + 1])
+    def test_outputs_share_no_memory(self, rule, rows):
+        tree = build_rm_tree(6, 2)
+        rng = np.random.default_rng(20)
+        y = rng.standard_normal(tree.n if rows is None else (rows, tree.n))
+        res = dumer_decode(tree, y, rule)
+        arrays = [a for a in (res.message, res.llrs, y) if a is not None]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
