@@ -86,9 +86,10 @@ def hamming_weight(w) -> int:
     return int(np.sum(as_bits(w)))
 
 
-_BPSK_SYMBOLS = np.array([1.0, -1.0])
-
-
 def bpsk(w) -> np.ndarray:
-    """Map bits to +/-1 symbols via b -> 1 - 2b (bit 0 -> +1)."""
-    return np.take(_BPSK_SYMBOLS, as_bits(w))
+    """Map bits to +/-1 float64 symbols via b -> 1 - 2b (bit 0 -> +1),
+    written straight into the one new array it returns."""
+    b = as_bits(w)
+    out = np.multiply(b, 2.0, out=np.empty(b.shape))
+    np.subtract(1.0, out, out=out)
+    return out if out.ndim else out[()]

@@ -120,17 +120,56 @@ def draw_noise(ch: Channel, shape, rng: np.random.Generator):
     return None, noise + np.where(hits, bursts, 0.0)
 
 
-def transmit(x, ch: Channel, rng: np.random.Generator) -> np.ndarray:
-    """Pass symbols through the channel, drawing noise from rng."""
+# AWGN noise is drawn this many floats at a time (512 KB), so a transmit
+# holds one small noise buffer besides the symbols.
+NOISE_BLOCK = 1 << 16
+
+
+def transmit(x, ch: Channel, rng: np.random.Generator, out=None) -> np.ndarray:
+    """Pass symbols through the channel, drawing noise from rng.
+
+    The received symbols go into out, a C-contiguous float64 array of x's
+    shape that may be x itself, and out is returned; without out they go
+    into a new array and x is left unchanged. AWGN noise is drawn
+    NOISE_BLOCK floats at a time into a small buffer, scaled and added into
+    out: the generator fills blocks in the order one whole draw of x's
+    shape would, so y is the same bit for bit. Rayleigh and bursty draw
+    their gains, hits and bursts after all the noise, so they draw whole
+    arrays (draw_noise).
+    """
     x = np.asarray(x, dtype=np.float64)
-    gain, offset = draw_noise(ch, x.shape, rng)
-    if gain is None:
-        return np.add(offset, x, out=offset)
-    return np.add(np.multiply(gain, x, out=gain), offset, out=gain)
+    if out is not None and (out.shape != x.shape or out.dtype != np.float64
+                            or not out.flags.c_contiguous):
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {x.shape}")
+    if ch.kind != AWGN:
+        gain, offset = draw_noise(ch, x.shape, rng)
+        if gain is None:
+            return np.add(offset, x, out=offset if out is None else out)
+        return np.add(np.multiply(gain, x, out=gain), offset,
+                      out=gain if out is None else out)
+    if out is None:
+        out = np.array(x, order="C")
+    elif out is not x:
+        np.copyto(out, x)
+    flat = out.reshape(-1)
+    noise = np.empty(min(NOISE_BLOCK, flat.size))
+    for lo in range(0, flat.size, NOISE_BLOCK):
+        part = flat[lo:lo + NOISE_BLOCK]
+        block = noise[:part.size]
+        rng.standard_normal(out=block)
+        block *= ch.sigma
+        np.add(block, part, out=part)
+    return out
 
 
-def channel_llr(y, sigma: float) -> np.ndarray:
-    """Per-position LLRs 2y/sigma^2 for BPSK over AWGN (positive favors bit 0)."""
+def channel_llr(y, sigma: float, out=None) -> np.ndarray:
+    """Per-position LLRs 2y/sigma^2 for BPSK over AWGN (positive favors bit 0).
+
+    The LLRs go into out when given, which may be y itself; the two
+    roundings are those of 2.0 * y / (sigma * sigma) either way.
+    """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    return 2.0 * np.asarray(y, dtype=np.float64) / (sigma * sigma)
+    llr = np.multiply(2.0, np.asarray(y, dtype=np.float64), out=out)
+    llr /= sigma * sigma
+    return llr

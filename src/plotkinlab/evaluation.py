@@ -155,8 +155,10 @@ def check_decoder(family: str, decoder: str | None) -> str:
 class CodeSystem:
     """Bundle of batch encode/decode callables plus identifying metadata.
 
-    encode maps (B, k) bits to (B, n) symbols of energy n; decode maps
-    received (B, n) symbols and the noise sigma to (B, k) hard bits.
+    encode maps (B, k) bits to (B, n) symbols of energy n in a fresh
+    array, which the simulator transmits in place when it is a writeable
+    C-contiguous float64 array; decode maps received (B, n) symbols and
+    the noise sigma to (B, k) hard bits and may overwrite the symbols.
     tree is set when the decoder goes leaf by leaf over it, in the order
     tree.message_leaves() lists them; decoders that take the whole code at
     once leave it None. Classical codes also expose decode_llrs, which
@@ -196,8 +198,12 @@ def _classical_system(name: str, tree: PlotkinTree, decoder: str) -> CodeSystem:
     def encode(msgs):
         return bpsk(tree_encode(tree, msgs))
 
-    return CodeSystem(name, decoder, tree.k, tree.n, encode,
-                      lambda y, sigma: decode_llrs(channel_llr(y, sigma)),
+    def decode(y, sigma):
+        """LLRs in y's own buffer when it is a writeable float64 array."""
+        y = np.asarray(y, dtype=np.float64)
+        return decode_llrs(channel_llr(y, sigma, out=y if y.flags.writeable else None))
+
+    return CodeSystem(name, decoder, tree.k, tree.n, encode, decode,
                       tree if decoder in LEAF_DECODERS else None, decode_llrs,
                       lambda: _classical_decode_ops(tree, decoder))
 
@@ -305,11 +311,20 @@ def run_chunks(system: CodeSystem, ch: Channel, seed: int, snr_index: int,
     the pool when there is one. tally runs in the worker, so a chunk's
     arrays are freed there. Chunk first + i has sizes[i] blocks and draws
     its messages and noise from the generator seeded by
-    [seed, snr_index, first + i]."""
+    [seed, snr_index, first + i].
+
+    One float64 (blocks, n) buffer carries a chunk from encoder output to
+    decoder input: the channel adds its noise into the encoded symbols,
+    and a classical decode turns them into LLRs in place. An encoding
+    that cannot be written in place (read-only, say a cached array) is
+    transmitted into a new array and left unchanged."""
     def run(i):
         rng = np.random.default_rng([seed, snr_index, first + i])
         msgs = rng.integers(0, 2, size=(sizes[i], system.k), dtype=np.uint8)
-        return tally(msgs, system.decode(transmit(system.encode(msgs), ch, rng), ch.sigma))
+        x = system.encode(msgs)
+        in_place = x.dtype == np.float64 and x.flags.writeable and x.flags.c_contiguous
+        y = transmit(x, ch, rng, out=x if in_place else None)
+        return tally(msgs, system.decode(y, ch.sigma))
 
     return (pool.map if pool else map)(run, range(len(sizes)))
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from plotkinlab.bits import bpsk
 from plotkinlab.channel import (
+    NOISE_BLOCK,
     awgn,
     bursty,
     channel_llr,
@@ -117,3 +119,111 @@ class TestChannelLlr:
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError):
             channel_llr(np.zeros(4), 0.0)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype == np.float64 and a.shape == b.shape
+            and np.array_equal(a.view(np.int64), b.view(np.int64)))
+
+
+def reference_transmit(x, ch, rng):
+    """The whole-array channel: every noise draw at x's shape, then the
+    fading gains or the burst hits and bursts."""
+    noise = rng.standard_normal(x.shape)
+    noise *= ch.sigma
+    if ch.kind == "awgn":
+        return noise + x
+    if ch.kind == "rayleigh":
+        return rng.rayleigh(scale=1.0 / np.sqrt(2.0), size=x.shape) * x + noise
+    hits = rng.random(x.shape) < ch.burst_prob
+    bursts = ch.burst_sigma * rng.standard_normal(x.shape)
+    return (noise + np.where(hits, bursts, 0.0)) + x
+
+
+class TestInPlaceChannel:
+    """transmit's blockwise AWGN draw and the out= forms of transmit and
+    channel_llr give the bits of the whole-array expressions."""
+
+    # rows of a 256-wide chunk around one noise block, a width that does
+    # not divide the block, one row, and a long 1-D word
+    SHAPES = [(NOISE_BLOCK // 256 - 1, 256), (NOISE_BLOCK // 256, 256),
+              (NOISE_BLOCK // 256 + 1, 256), (700, 100), (1, 256), (10**6,)]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    @pytest.mark.parametrize("in_place", [False, True], ids=["new", "out=x"])
+    def test_blockwise_awgn_is_one_whole_draw(self, shape, in_place):
+        ch = awgn(0.7)
+        x = np.random.default_rng(1).standard_normal(shape)
+        before = x.copy()
+        want = reference_transmit(x, ch, np.random.default_rng([3, 1, 4]))
+        rng = np.random.default_rng([3, 1, 4])
+        y = transmit(x, ch, rng, out=x if in_place else None)
+        assert same_bits(y, want)
+        if in_place:
+            assert y is x
+        else:
+            assert same_bits(x, before)
+        # the draw left the generator where the whole draw leaves it
+        ref = np.random.default_rng([3, 1, 4])
+        ref.standard_normal(shape)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("ch", [awgn(0.8), rayleigh_fast(0.8), bursty(0.8)],
+                             ids=["awgn", "rayleigh", "bursty"])
+    def test_out_gives_the_whole_array_bits(self, ch):
+        x = bpsk(np.random.default_rng(6).integers(0, 2, size=(300, 64), dtype=np.uint8))
+        want = reference_transmit(x, ch, np.random.default_rng(7))
+        other = np.empty_like(x)
+        assert transmit(x, ch, np.random.default_rng(7), out=other) is other
+        assert same_bits(other, want)
+        assert transmit(x, ch, np.random.default_rng(7), out=x) is x
+        assert same_bits(x, want)
+
+    def test_non_float_input_goes_to_a_new_array(self):
+        bits = np.random.default_rng(2).integers(0, 2, size=(20, 16))
+        ch = awgn(0.5)
+        want = reference_transmit(bits.astype(np.float64), ch, np.random.default_rng(8))
+        assert same_bits(transmit(bits, ch, np.random.default_rng(8)), want)
+        assert same_bits(transmit(bits.tolist(), ch, np.random.default_rng(8)), want)
+
+    @pytest.mark.parametrize("out", [np.empty((4, 8)), np.empty((8, 8), dtype=np.float32),
+                                     np.empty((8, 16))[:, ::2]],
+                             ids=["shape", "dtype", "strided"])
+    def test_out_must_fit_x(self, out):
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            transmit(np.zeros((8, 8)), awgn(1.0), np.random.default_rng(0), out=out)
+
+    def test_read_only_out_raises_before_writing(self):
+        x = np.ones((4, 8))
+        x.flags.writeable = False
+        with pytest.raises(ValueError, match="read-only"):
+            transmit(x, awgn(1.0), np.random.default_rng(0), out=x)
+        assert (x == 1.0).all()
+
+    def test_llr_in_place(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        special = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, 1e-310, -1e-310,
+                            1e300, -1e300, 1.0, -1.0, 0.1])
+        rows = np.random.default_rng(4).standard_normal((50, 256))
+        for y in (special, rows):
+            for sigma in (1.0, 0.7, 3.1622776601683795, 1e-3):
+                want = 2.0 * y / (sigma * sigma)
+                assert same_bits(channel_llr(y, sigma), want)
+                buf = y.copy()
+                assert channel_llr(buf, sigma, out=buf) is buf
+                assert same_bits(buf, want)
+
+
+class TestBpsk:
+    def test_values_of_every_input_form(self):
+        b = np.random.default_rng(5).integers(0, 2, size=(30, 16), dtype=np.uint8)
+        symbols = np.array([1.0, -1.0])
+        for word in (b, b[0]):
+            want = np.take(symbols, word)
+            for w in (word, word.astype(bool), word.tolist()):
+                assert same_bits(bpsk(w), want)
+
+    def test_scalar_bit(self):
+        assert isinstance(bpsk(1), np.float64) and bpsk(1) == -1.0
+        assert bpsk(np.uint8(0)) == 1.0

@@ -1,9 +1,18 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from plotkinlab import evaluation
 from plotkinlab.channel import make_channel, snr_to_sigma, transmit
-from plotkinlab.codes import build_rm_tree, enumerate_codebook, polar_spec
+from plotkinlab.codes import (
+    build_polar_tree,
+    build_rm_tree,
+    enumerate_codebook,
+    polar_spec,
+    tree_encode,
+)
 from plotkinlab.evaluation import (
     DECODERS,
     RANDOM_PAIRS,
@@ -192,6 +201,100 @@ class TestChunkStreams:
         assert res.blocks == blocks == 100
         assert sum(c.first_error_blocks for c in contribs) == res.block_errors == block_errors
         assert bler == res.bler
+
+
+def whole_array_chunk_counts(system, tree, channel, snr_db, seed, snr_index, sizes):
+    """(blocks, bit errors, block errors) of each chunk from fresh arrays at
+    every step: BPSK by table lookup, every noise draw at the chunk's shape,
+    then LLRs 2y/sigma^2 into a new array for the classical decoder."""
+    ch = make_channel(channel, snr_to_sigma(snr_db))
+    out = []
+    for i, size in enumerate(sizes):
+        rng = np.random.default_rng([seed, snr_index, i])
+        msgs = rng.integers(0, 2, size=(size, system.k), dtype=np.uint8)
+        x = np.take(np.array([1.0, -1.0]), tree_encode(tree, msgs))
+        noise = ch.sigma * rng.standard_normal(x.shape)
+        if ch.kind == "awgn":
+            y = x + noise
+        elif ch.kind == "rayleigh":
+            y = rng.rayleigh(scale=1.0 / np.sqrt(2.0), size=x.shape) * x + noise
+        else:
+            hits = rng.random(x.shape) < ch.burst_prob
+            y = x + (noise + np.where(hits, ch.burst_sigma * rng.standard_normal(x.shape), 0.0))
+        diffs = system.decode_llrs(2.0 * y / (ch.sigma * ch.sigma)) != msgs
+        out.append((size, int(diffs.sum()), int(diffs.any(axis=1).sum())))
+    return out
+
+
+class TestChunkBuffer:
+    """run_chunks carries one float64 buffer per chunk from encoder output
+    through the channel to the decoder's LLRs."""
+
+    SYSTEMS = [(lambda: rm_system(8, 2, "dumer"), lambda: build_rm_tree(8, 2), "awgn"),
+               (lambda: rm_system(8, 2, "dumer-soft"), lambda: build_rm_tree(8, 2), "awgn"),
+               (lambda: polar_system(polar_spec(64, 7)),
+                lambda: build_polar_tree(polar_spec(64, 7)), "rayleigh"),
+               (lambda: rm_system(6, 2, "dumer"), lambda: build_rm_tree(6, 2), "bursty")]
+
+    @pytest.mark.parametrize("system, tree, channel", SYSTEMS,
+                             ids=["rm82-dumer", "rm82-dumer-soft", "polar64-rayleigh",
+                                  "rm62-bursty"])
+    def test_counts_equal_the_whole_array_chunks(self, monkeypatch, system, tree, channel):
+        # 300 blocks of RM(8,2) span more than one noise block
+        monkeypatch.setattr(evaluation, "CHUNK_BLOCKS", 300)
+        system, tree = system(), tree()
+        grid = [-4.0, -2.0]
+        want = []
+        for j, snr_db in enumerate(grid):
+            chunks = whole_array_chunk_counts(system, tree, channel, snr_db, 13, j,
+                                              [300, 300, 100])
+            want.append(tuple(int(c) for c in np.sum(chunks, axis=0)))
+        for threads in (1, 2):
+            results = simulate_error_rates(system, channel, grid, min_blocks=700,
+                                           min_block_errors=0, max_blocks=700, seed=13,
+                                           threads=threads)
+            assert [(r.blocks, r.bit_errors, r.block_errors) for r in results] == want
+
+    def test_one_chunk_peaks_below_two_symbol_arrays(self):
+        system = rm_system(8, 2, "dumer")
+        ch = make_channel("awgn", snr_to_sigma(-4.0))
+        blocks = 10000
+        # leaf codebooks and tables are cached on first use; fill them first
+        list(evaluation.run_chunks(system, ch, 0, 0, 0, [16], evaluation._error_counts))
+        tracemalloc.start()
+        try:
+            list(evaluation.run_chunks(system, ch, 0, 0, 0, [blocks], evaluation._error_counts))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # encoded symbols, received symbols and LLRs are one array; the rest
+        # is the decoder's workspace
+        assert peak <= 1.9 * blocks * system.n * 8
+
+    def test_read_only_encoding_is_transmitted_into_a_new_array(self, monkeypatch):
+        """An encoder that hands out read-only cached codewords simulates
+        with the counts of a fresh encoder, and its cache stays intact."""
+        monkeypatch.setattr(evaluation, "CHUNK_BLOCKS", 300)
+        base = rm_system(5, 2, "dumer")
+        cache = {}
+
+        def encode(msgs):
+            key = msgs.tobytes()
+            if key not in cache:
+                cache[key] = base.encode(msgs)
+                cache[key].flags.writeable = False
+            return cache[key]
+
+        system = dataclasses.replace(base, encode=encode)
+        kwargs = dict(min_blocks=700, min_block_errors=0, max_blocks=700, seed=9)
+        want = simulate_error_rates(base, "awgn", [0.0, 1.0], **kwargs)
+        for threads in (1, 2):  # the second pass reads every codeword from the cache
+            assert simulate_error_rates(system, "awgn", [0.0, 1.0], threads=threads,
+                                        **kwargs) == want
+        assert len(cache) == 6
+        for key, x in cache.items():
+            msgs = np.frombuffer(key, dtype=np.uint8).reshape(-1, base.k)
+            assert np.array_equal(x, base.encode(msgs))
 
 
 class TestBlerDecomposition:
