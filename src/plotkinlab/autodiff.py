@@ -101,8 +101,11 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g.reshape(shape)
 
 
-def add(a: Node, b: Node) -> Node:
-    return _op(a.value + b.value, (a, b),
+def add(a: Node, b: Node, out: np.ndarray | None = None) -> Node:
+    """a + b, written into out when given, which then is the node's value.
+    out may be a.value when no pullback reads a's value (a matmul product,
+    say): this pullback reads only the shapes."""
+    return _op(np.add(a.value, b.value, out=out), (a, b),
                lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
@@ -148,10 +151,14 @@ def selu_into(x: np.ndarray, out: np.ndarray, ex: np.ndarray, slope: bool = Fals
     return dx
 
 
-def selu(a: Node) -> Node:
-    """SELU; the derivative is formed only if a gradient is needed."""
+def selu(a: Node, out: np.ndarray | None = None) -> Node:
+    """SELU; the derivative is formed only if a gradient is needed. The
+    value is written into out when given, which then is the node's value.
+    out may be a.value when no pullback reads a's value (a sum, say): this
+    pullback reads only the derivative, formed before a.value is
+    overwritten."""
     x = a.value
-    val = np.empty_like(x)
+    val = np.empty_like(x) if out is None else out
     dx = selu_into(x, val, np.empty_like(x), slope=a.requires)
     return _op(val, (a,), lambda g: (g * dx,))
 
@@ -324,14 +331,20 @@ class DenseBlock:
         return sum(p.size for p in self.parameters())
 
     def apply(self, x: Node, params: list[Node]) -> Node:
+        """The block's output node. Taped, each layer is a matmul, add and
+        selu node (add only, on the output layer) sharing one buffer: the
+        sum and the SELU value overwrite the product in place, which
+        backward never reads but for its shape, so a hidden layer keeps
+        one activation array and the SELU slope."""
         if not _tape.recording:
             return Node(dense_forward(x.value, [p.value for p in params]))
         h = x
         layers = len(self.weights)
         for i in range(layers):
-            h = add(matmul(h, params[2 * i]), params[2 * i + 1])
+            p = matmul(h, params[2 * i])
+            h = add(p, params[2 * i + 1], out=p.value)
             if i < layers - 1:
-                h = selu(h)
+                h = selu(h, out=h.value)
         return h
 
 

@@ -120,8 +120,9 @@ def draw_noise(ch: Channel, shape, rng: np.random.Generator):
     return None, noise + np.where(hits, bursts, 0.0)
 
 
-# AWGN noise is drawn this many floats at a time (512 KB), so a transmit
-# holds one small noise buffer besides the symbols.
+# transmit draws AWGN noise, and the fading gains, burst hits and bursts that
+# follow the noise in the stream, this many floats at a time (512 KB), so it
+# holds small buffers besides the symbols (and the Rayleigh or bursty noise).
 NOISE_BLOCK = 1 << 16
 
 
@@ -130,23 +131,21 @@ def transmit(x, ch: Channel, rng: np.random.Generator, out=None) -> np.ndarray:
 
     The received symbols go into out, a C-contiguous float64 array of x's
     shape that may be x itself, and out is returned; without out they go
-    into a new array and x is left unchanged. AWGN noise is drawn
-    NOISE_BLOCK floats at a time into a small buffer, scaled and added into
-    out: the generator fills blocks in the order one whole draw of x's
-    shape would, so y is the same bit for bit. Rayleigh and bursty draw
-    their gains, hits and bursts after all the noise, so they draw whole
-    arrays (draw_noise).
+    into a new array and x is left unchanged. Draws are made NOISE_BLOCK
+    floats at a time where the stream allows: the generator fills blocks in
+    the order one whole draw of x's shape would, so y is that of draw_noise
+    bit for bit. AWGN noise is drawn block by block into a small buffer,
+    scaled and added into out. Rayleigh and bursty draw their gains, hits
+    and bursts after all the noise, so the noise is drawn whole and the
+    rest block by block; bursty keeps its hits as one bool array, drawn
+    before any burst.
     """
     x = np.asarray(x, dtype=np.float64)
     if out is not None and (out.shape != x.shape or out.dtype != np.float64
                             or not out.flags.c_contiguous):
         raise ValueError(f"out must be a C-contiguous float64 array of shape {x.shape}")
     if ch.kind != AWGN:
-        gain, offset = draw_noise(ch, x.shape, rng)
-        if gain is None:
-            return np.add(offset, x, out=offset if out is None else out)
-        return np.add(np.multiply(gain, x, out=gain), offset,
-                      out=gain if out is None else out)
+        return _transmit_after_noise(x, ch, rng, out)
     if out is None:
         out = np.array(x, order="C")
     elif out is not x:
@@ -159,6 +158,35 @@ def transmit(x, ch: Channel, rng: np.random.Generator, out=None) -> np.ndarray:
         rng.standard_normal(out=block)
         block *= ch.sigma
         np.add(block, part, out=part)
+    return out
+
+
+def _transmit_after_noise(x: np.ndarray, ch: Channel, rng: np.random.Generator,
+                          out) -> np.ndarray:
+    """transmit for Rayleigh (gain * x + noise) and bursty
+    ((noise + where(hits, bursts, 0)) + x), with draw_noise's expressions
+    and operand order applied block by block; out may be x or None."""
+    noise = rng.standard_normal(x.shape)
+    noise *= ch.sigma
+    if out is None:
+        out = noise
+    xs, ns, ys = x.reshape(-1), noise.reshape(-1), out.reshape(-1)
+    spans = [(lo, min(lo + NOISE_BLOCK, ys.size)) for lo in range(0, ys.size, NOISE_BLOCK)]
+    if ch.kind == RAYLEIGH:
+        for lo, hi in spans:
+            gain = rng.rayleigh(scale=1.0 / np.sqrt(2.0), size=hi - lo)
+            np.add(np.multiply(gain, xs[lo:hi], out=gain), ns[lo:hi], out=ys[lo:hi])
+        return out
+    hits = np.empty(ys.size, dtype=bool)
+    block = np.empty(min(NOISE_BLOCK, ys.size))
+    for lo, hi in spans:
+        np.less(rng.random(out=block[:hi - lo]), ch.burst_prob, out=hits[lo:hi])
+    for lo, hi in spans:
+        bursts = rng.standard_normal(out=block[:hi - lo])
+        bursts *= ch.burst_sigma
+        np.copyto(bursts, 0.0, where=~hits[lo:hi])  # where(hits, bursts, 0.0)
+        np.add(ns[lo:hi], bursts, out=bursts)
+        np.add(bursts, xs[lo:hi], out=ys[lo:hi])
     return out
 
 

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +103,34 @@ class TestSeluKernel:
             ad.selu(const(x))
             ad.selu(var(x))
         assert np.array_equal(x.view(np.uint64), before.view(np.uint64))
+
+    @pytest.mark.parametrize("slope", [False, True])
+    def test_in_place_equals_out_of_place_bit_for_bit(self, slope):
+        """selu_into(x, x, ...), which a taped dense layer runs on its sum,
+        gives the value and slope bits of a call into a separate out."""
+        x = selu_inputs()
+        want = np.empty_like(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want_dx = ad.selu_into(x, want, np.empty_like(x), slope=slope)
+            y = x.copy()
+            dx = ad.selu_into(y, y, np.empty_like(y), slope=slope)
+        assert np.array_equal(y.view(np.uint64), want.view(np.uint64))
+        if slope:
+            assert np.array_equal(dx.view(np.uint64), want_dx.view(np.uint64))
+        else:
+            assert dx is None and want_dx is None
+
+    def test_selu_node_with_out_writes_there(self):
+        x = selu_inputs()
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = ad.selu(var(x.copy()))
+            a = var(x.copy())
+            got = ad.selu(a, out=a.value)
+            g = np.random.default_rng(5).standard_normal(x.shape)
+            (want_g,), (got_g,) = want.vjp(g), got.vjp(g)
+        assert got.value is a.value
+        assert np.array_equal(got.value.view(np.uint64), want.value.view(np.uint64))
+        assert np.array_equal(got_g.view(np.uint64), want_g.view(np.uint64))
 
 
 class TestNoTape:
@@ -359,6 +388,91 @@ class TestBackwardRelease:
             assert node.parents is parents[id(node)]
             if node is not loss and node.parents:
                 assert node.grad is None and node.vjp is None
+
+
+def three_op_apply(block, x, params):
+    """DenseBlock.apply as it was before its layers shared a buffer: each
+    matmul, add and selu node writes a new array."""
+    h = x
+    layers = len(block.weights)
+    for i in range(layers):
+        h = ad.add(ad.matmul(h, params[2 * i]), params[2 * i + 1])
+        if i < layers - 1:
+            h = ad.selu(h)
+    return h
+
+
+def tape_structure(out):
+    """The tape below out in depth-first order: each node's parents as
+    positions in that order (leaves by identity), its shape and whether it
+    needs a gradient and has a pullback."""
+    order, index, stack = [], {}, [out]
+    while stack:
+        node = stack.pop()
+        if id(node) in index:
+            continue
+        index[id(node)] = len(order)
+        order.append(node)
+        stack.extend(reversed(node.parents))
+    return [(tuple(index[id(p)] for p in node.parents), node.shape, node.requires,
+             node.vjp is None, id(node) if not node.parents else None)
+            for node in order]
+
+
+class TestDenseBlockBuffer:
+    """Taped, a dense layer's sum and SELU value overwrite its product in
+    place; the tape, values and gradients are the three-op composition's."""
+
+    WIDTHS = {"standard-2in": [2, 32, 32, 32, 1], "standard-4in": [4, 32, 32, 32, 1],
+              "tiny": [2, 4, 1]}
+
+    @pytest.mark.parametrize("widths", list(WIDTHS), ids=str)
+    @pytest.mark.parametrize("rows", [1, 300])
+    @pytest.mark.parametrize("leaf", [var, const], ids=["var-x", "const-x"])
+    def test_same_tape_values_and_gradients_as_three_ops(self, widths, rows, leaf):
+        rng = np.random.default_rng(rows)
+        block = init_weights(DenseBlock.zeros(self.WIDTHS[widths]), rng, std=0.5)
+        x = leaf(rng.standard_normal((rows, block.widths[0])))
+        weight = const(rng.standard_normal((rows, 1)))
+        params = [var(p) for p in block.parameters()]
+        ref_params = [var(p) for p in block.parameters()]
+        want = three_op_apply(block, x, ref_params)
+        got = block.apply(x, params)
+        assert np.array_equal(got.value.view(np.int64), want.value.view(np.int64))
+        shared = {id(p): id(q) for p, q in zip(ref_params, params)}
+        want_tape = [(ps, shape, req, no_vjp, shared.get(leaf_id, leaf_id))
+                     for ps, shape, req, no_vjp, leaf_id in tape_structure(want)]
+        assert tape_structure(got) == want_tape
+        grads = []
+        for out, ps in ((want, ref_params), (got, params)):
+            x.grad = None
+            backward(ad.sum_all(ad.mul(out, weight)))
+            grads.append([grad_or_zero(p) for p in ps] + [x.grad])
+        for a, b in zip(*grads, strict=True):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    def test_standard_block_keeps_two_arrays_per_hidden_layer(self):
+        """A taped standard block holds each hidden layer's shared buffer
+        and SELU slope; it held four arrays (product, sum, value, slope)
+        when each op wrote a new one."""
+        rows, widths = 2000, self.WIDTHS["standard-4in"]
+        rng = np.random.default_rng(9)
+        block = init_weights(DenseBlock.zeros(widths), rng)
+        x = const(rng.standard_normal((rows, widths[0])))
+        params = [var(p) for p in block.parameters()]
+        tracemalloc.start()
+        try:
+            out = block.apply(x, params)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        hidden = len(widths) - 2
+        layer_array = rows * 32 * 8
+        # plus the output layer's one rows x 1 buffer and the nodes
+        assert held <= 2 * hidden * layer_array + rows * 8 + 64 * 1024
+        del out
 
 
 class TestAdam:

@@ -169,6 +169,25 @@ class TestInPlaceChannel:
         ref.standard_normal(shape)
         assert rng.bit_generator.state == ref.bit_generator.state
 
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    @pytest.mark.parametrize("out", ["new", "out=x", "other"])
+    @pytest.mark.parametrize("ch", [rayleigh_fast(0.7), bursty(0.7), bursty(0.3, 0.5, 3.0)],
+                             ids=["rayleigh", "bursty", "bursty-dense"])
+    def test_blockwise_gains_and_bursts_are_whole_draws(self, shape, out, ch):
+        x = np.random.default_rng(1).standard_normal(shape)
+        before = x.copy()
+        ref = np.random.default_rng([3, 1, 4])
+        want = reference_transmit(x, ch, ref)
+        rng = np.random.default_rng([3, 1, 4])
+        target = {"new": None, "out=x": x, "other": np.empty_like(x)}[out]
+        y = transmit(x, ch, rng, out=target)
+        assert same_bits(y, want)
+        if target is not None:
+            assert y is target
+        if target is not x:
+            assert same_bits(x, before)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
     @pytest.mark.parametrize("ch", [awgn(0.8), rayleigh_fast(0.8), bursty(0.8)],
                              ids=["awgn", "rayleigh", "bursty"])
     def test_out_gives_the_whole_array_bits(self, ch):

@@ -255,9 +255,12 @@ class TestChunkBuffer:
                                            threads=threads)
             assert [(r.blocks, r.bit_errors, r.block_errors) for r in results] == want
 
-    def test_one_chunk_peaks_below_two_symbol_arrays(self):
+    @staticmethod
+    def chunk_peak_in_symbol_arrays(channel):
+        """tracemalloc's peak over one 10,000-block RM(8,2) chunk, in
+        arrays of the chunk's float64 symbols."""
         system = rm_system(8, 2, "dumer")
-        ch = make_channel("awgn", snr_to_sigma(-4.0))
+        ch = make_channel(channel, snr_to_sigma(-4.0))
         blocks = 10000
         # leaf codebooks and tables are cached on first use; fill them first
         list(evaluation.run_chunks(system, ch, 0, 0, 0, [16], evaluation._error_counts))
@@ -267,9 +270,18 @@ class TestChunkBuffer:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        return peak / (blocks * system.n * 8)
+
+    def test_one_chunk_peaks_below_two_symbol_arrays(self):
         # encoded symbols, received symbols and LLRs are one array; the rest
         # is the decoder's workspace
-        assert peak <= 1.9 * blocks * system.n * 8
+        assert self.chunk_peak_in_symbol_arrays("awgn") <= 1.9
+
+    @pytest.mark.parametrize("channel", ["rayleigh", "bursty"])
+    def test_fading_and_bursty_chunks_add_only_the_noise_array(self, channel):
+        # the noise comes first in the stream and is drawn whole; gains,
+        # hits (one bool array) and bursts are drawn a block at a time
+        assert self.chunk_peak_in_symbol_arrays(channel) <= 2.2
 
     def test_read_only_encoding_is_transmitted_into_a_new_array(self, monkeypatch):
         """An encoder that hands out read-only cached codewords simulates

@@ -332,3 +332,19 @@ class TestTapeLifetime:
                 tracemalloc.stop()
 
         assert peak(2) <= 1.2 * peak(1)
+
+    @pytest.mark.parametrize("phase", ["dec", "enc"])
+    def test_standard_step_at_batch_50_peaks_below_70_mb(self, phase):
+        """A KO(8,2)-standard step's tape holds two arrays per hidden dense
+        layer (a shared activation buffer and the SELU slope); it peaked
+        near 105 MB (decoder) and 115 MB (encoder) with four."""
+        model = build_ko_model(build_rm_tree(8, 2), {"family": "rm", "m": 8, "r": 2},
+                               "standard", seed=0)
+        steps = {"dec_steps": int(phase == "dec"), "enc_steps": int(phase == "enc")}
+        tracemalloc.start()
+        try:
+            train(model, TrainConfig(epochs=1, batch_size=50, seed=1, **steps))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 70 * 2**20
