@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decoding import lse as lse_values
-from .decoding import stable_sigmoid
+from .decoding import row_tiles, stable_sigmoid
 
 SELU_LAMBDA = 1.0507009873554805
 SELU_ALPHA = 1.6732632423543772
@@ -354,28 +354,24 @@ def dense_forward(x: np.ndarray, params: list[np.ndarray]) -> np.ndarray:
 
     The SELU hidden layers run a tile of rows at a time, in place
     (h = tile @ W; h += b; SELU), so a tile's activations stay in cache from
-    layer to layer. A tile has TILE_FLOATS // (widest hidden layer) rows
-    and the last one takes the remainder too, so no tile has one row unless
-    x has: numpy multiplies a single row by gemv, which rounds differently
-    from the gemm of larger tiles, and gemm rounds each row alike whatever
-    the row count. The output layer is one product over all rows, as in the
-    taped block: numpy multiplies by a one-column weight (every KO block's
-    output layer) with gemv, whose BLAS threads split the rows at places
-    that depend on the row count, so tile by tile some rows would round
-    differently.
+    layer to layer. The row_tiles have TILE_FLOATS // (widest hidden layer)
+    rows, and gemm rounds each row alike whatever the row count. The output
+    layer is one product over all rows, as in the taped block: numpy
+    multiplies by a one-column weight (every KO block's output layer) with
+    gemv, whose BLAS threads split the rows at places that depend on the
+    row count, so tile by tile some rows would round differently.
     """
     weights, biases = params[0::2], params[1::2]
     h = x
     if len(weights) > 1:
         rows = x.shape[0]
         widest = max(w.shape[1] for w in weights[:-1])
-        tile = max(1, TILE_FLOATS // widest)
-        starts = range(0, max(rows - tile, 0) + 1, tile)
-        span = rows - starts[-1]
+        tiles = row_tiles(rows, max(1, TILE_FLOATS // widest))
+        span = tiles[-1][1] - tiles[-1][0]
         h = np.empty((rows, weights[-2].shape[1]))
         buffers = [np.empty((span, w.shape[1])) for w in weights[:-2]]
         ex = np.empty(span * widest)
-        for lo, hi in zip(starts, [*starts[1:], rows]):
+        for lo, hi in tiles:
             a = x[lo:hi]
             for w, b, buf in zip(weights[:-1], biases[:-1], [*buffers, h[lo:hi]]):
                 out = buf[:hi - lo]

@@ -324,7 +324,6 @@ def cmd_train(args, argv) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         model, log = train(model, cfg, channel_kind=args.channel)
     save_checkpoint(model, args.checkpoint)
-    log.checkpoint_path = args.checkpoint
     if args.log:
         log.write_csv(args.log)
     losses = log.losses()

@@ -173,27 +173,24 @@ def build_rm_tree(m: int, r: int) -> PlotkinTree:
     if not 0 <= r <= m <= MAX_TREE_M:
         raise ValueError(f"need 0 <= r <= m <= {MAX_TREE_M}, got m={m}, r={r}")
     k = rm_k(m, r)
-    ids = itertools.count(1)
+    return PlotkinTree(_rm_node(m, r, 0, k, itertools.count(1)), m, 1 << m, k, f"RM({m},{r})")
 
-    def build(mm: int, rr: int, lo: int, hi: int) -> Node:
-        if rr == 0:
-            return Leaf(REPETITION, mm, lo, hi)
-        if rr == mm:
-            return Leaf(FULL_RATE, mm, lo, hi)
-        node_id = next(ids)
-        kv = rm_k(mm - 1, rr - 1)
-        if rr == 2 and mm - 1 >= 2:
-            v: Node = Leaf(FIRST_ORDER, mm - 1, hi - kv, hi)
-        else:
-            v = build(mm - 1, rr - 1, hi - kv, hi)
-        u = build(mm - 1, rr, lo, hi - kv)
-        return Internal(node_id, v, u, 1 << mm)
 
-    try:
-        root = build(m, r, 0, k)
-    finally:
-        del build  # break the closure's self-reference; no cycle for the collector
-    return PlotkinTree(root, m, 1 << m, k, f"RM({m},{r})")
+def _rm_node(mm: int, rr: int, lo: int, hi: int, ids: Iterator[int]) -> Node:
+    """The subtree of RM(mm,rr) encoding message slice lo:hi; its internal
+    nodes draw their ids from ids in visit order."""
+    if rr == 0:
+        return Leaf(REPETITION, mm, lo, hi)
+    if rr == mm:
+        return Leaf(FULL_RATE, mm, lo, hi)
+    node_id = next(ids)
+    kv = rm_k(mm - 1, rr - 1)
+    if rr == 2 and mm - 1 >= 2:
+        v: Node = Leaf(FIRST_ORDER, mm - 1, hi - kv, hi)
+    else:
+        v = _rm_node(mm - 1, rr - 1, hi - kv, hi, ids)
+    u = _rm_node(mm - 1, rr, lo, hi - kv, ids)
+    return Internal(node_id, v, u, 1 << mm)
 
 
 # ---------------------------------------------------------------------------
@@ -257,19 +254,17 @@ def tree_encode(tree: PlotkinTree, msg) -> np.ndarray:
     arr = np.atleast_2d(arr)
     if arr.shape[1] != tree.k:
         raise ValueError(f"message length {arr.shape[1]} != k={tree.k}")
-
-    def enc(node: Node) -> np.ndarray:
-        if isinstance(node, Leaf):
-            return encode_leaf(node, arr[:, node.lo:node.hi])
-        u = enc(node.u)
-        v = enc(node.v)
-        return np.concatenate([u, u ^ v], axis=1)
-
-    try:
-        out = enc(tree.root)
-    finally:
-        del enc  # break the closure's self-reference so refcounting frees arr
+    out = _encode_node(tree.root, arr)
     return out[0] if single else out
+
+
+def _encode_node(node: Node, msg: np.ndarray) -> np.ndarray:
+    """The (B, length) codeword of node's subtree for message words msg."""
+    if isinstance(node, Leaf):
+        return encode_leaf(node, msg[:, node.lo:node.hi])
+    u = _encode_node(node.u, msg)
+    v = _encode_node(node.v, msg)
+    return np.concatenate([u, u ^ v], axis=1)
 
 
 def rm_generator_rows(m: int, r: int) -> np.ndarray:
@@ -423,33 +418,30 @@ def build_polar_tree(spec: PolarSpec) -> PlotkinTree:
     m = spec.m
     active = np.zeros(spec.n, dtype=bool)
     active[[i - 1 for i in spec.active_set]] = True
-    ids = itertools.count(1)
-
-    if active.all():
-        root: Node = Leaf(FULL_RATE, m, 0, spec.k)
-        return PlotkinTree(root, m, spec.n, spec.k, f"Polar({spec.n},{spec.k})")
-
-    def build(p_lo: int, p_hi: int, lo: int, hi: int, is_root: bool = False) -> Node:
-        size = p_hi - p_lo
-        mm = size.bit_length() - 1
-        mask = active[p_lo:p_hi]
-        if not is_root:
-            if not mask.any():
-                return Leaf(FROZEN, mm, lo, lo)
-            if mask.sum() == 1 and mask[-1]:
-                return Leaf(REPETITION, mm, lo, hi)
-        node_id = next(ids)
-        mid = p_lo + size // 2
-        kv = int(active[p_lo:mid].sum())
-        v = build(p_lo, mid, hi - kv, hi)
-        u = build(mid, p_hi, lo, hi - kv)
-        return Internal(node_id, v, u, size)
-
-    try:
-        root = build(0, spec.n, 0, spec.k, is_root=True)
-    finally:
-        del build  # break the closure's self-reference; no cycle for the collector
+    root = (Leaf(FULL_RATE, m, 0, spec.k) if active.all()
+            else _polar_node(active, itertools.count(1), 0, spec.n, 0, spec.k, True))
     return PlotkinTree(root, m, spec.n, spec.k, f"Polar({spec.n},{spec.k})")
+
+
+def _polar_node(active: np.ndarray, ids: Iterator[int], p_lo: int, p_hi: int,
+                lo: int, hi: int, is_root: bool = False) -> Node:
+    """The collapsed subtree over positions p_lo:p_hi (active marks the
+    active ones) encoding message slice lo:hi; its internal nodes draw
+    their ids from ids in visit order."""
+    size = p_hi - p_lo
+    mm = size.bit_length() - 1
+    mask = active[p_lo:p_hi]
+    if not is_root:
+        if not mask.any():
+            return Leaf(FROZEN, mm, lo, lo)
+        if mask.sum() == 1 and mask[-1]:
+            return Leaf(REPETITION, mm, lo, hi)
+    node_id = next(ids)
+    mid = p_lo + size // 2
+    kv = int(active[p_lo:mid].sum())
+    v = _polar_node(active, ids, p_lo, mid, hi - kv, hi)
+    u = _polar_node(active, ids, mid, p_hi, lo, hi - kv)
+    return Internal(node_id, v, u, size)
 
 
 def polar_encode(spec: PolarSpec, msg) -> np.ndarray:

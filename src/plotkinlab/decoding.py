@@ -177,6 +177,15 @@ def fht(l) -> np.ndarray:
     return out.reshape(x.shape)
 
 
+def row_tiles(rows: int, tile: int) -> list[tuple[int, int]]:
+    """(lo, hi) bounds of consecutive tiles of tile rows that cover rows
+    0:rows, the last taking the remainder too, so it is the largest and no
+    tile has one row unless rows is 1: numpy multiplies a lone row by gemv,
+    which rounds differently from the gemm of larger tiles."""
+    starts = range(0, max(rows - tile, 0) + 1, tile)
+    return list(zip(starts, [*starts[1:], rows]))
+
+
 def fht_tiles(rows: np.ndarray):
     """Yield (start, tile) for every FHT_TILE_ROWS rows of a (B, n) array,
     n a power of two: tile is the (n, w) batch-major transform of
@@ -406,10 +415,10 @@ def dumer_decode(tree: PlotkinTree, llr, leaf_rule: str = HARD_MAP) -> DecodeRes
     the soft-sign lift of the sigmoid bit probabilities (the classical
     skeleton of the KO decoder). Input LLRs are clipped to +/-LLR_LIMIT.
 
-    The recursion runs over tiles of max(FHT_TILE_ROWS, DECODE_TILE_FLOATS
-    // n) rows, the last taking the remainder, so every tile decodes bit for
-    bit as one tile of the whole batch would: below the floor, or at one
-    row (gemv), BLAS would round the rows of its products differently.
+    The recursion runs over row_tiles of max(FHT_TILE_ROWS,
+    DECODE_TILE_FLOATS // n) rows, so every tile decodes bit for bit as one
+    tile of the whole batch would: below the floor BLAS would round the
+    rows of its products differently.
     Each tile runs batch-major, as (length, rows) arrays, in a workspace
     allocated once per call, so no node allocates and every elementwise
     pass covers contiguous memory; the values are those of the row-major
@@ -476,42 +485,45 @@ def dumer_decode(tree: PlotkinTree, llr, leaf_rule: str = HARD_MAP) -> DecodeRes
     # (lse's, then a first-order leaf's transform), the butterflies'
     # difference buffer, and the codeword, which each node writes as [u; v]
     # and combines in place.
-    tile = max(FHT_TILE_ROWS, DECODE_TILE_FLOATS // tree.n)
-    starts = range(0, max(batch - tile, 0) + 1, tile)
-    span = batch - starts[-1]
+    tiles = row_tiles(batch, max(FHT_TILE_ROWS, DECODE_TILE_FLOATS // tree.n))
+    span = tiles[-1][1] - tiles[-1][0]
     widest = max([lf.length for lf in tree.leaves() if lf.kind == FIRST_ORDER], default=0)
     root = np.empty(tree.n * span)
     feats = {nd.length // 2: np.empty(nd.length // 2 * span) for nd in tree.internal_nodes()}
     scratch = np.empty(max(tree.n // 2, widest) * span)
     diff = np.empty(widest // 2 * span)
     codeword = np.empty(tree.n * span, dtype=np.float64 if soft else np.uint8)
-
-    def rec(node, feat: np.ndarray, out: np.ndarray) -> None:
-        if isinstance(node, Leaf):
-            decode_leaf(node, feat, out)
-            return
-        half = node.length // 2
-        f1, f2 = feat[:half], feat[half:]
-        u_out, v_out = out[:half], out[half:]
-        child = feats[half][:f1.size].reshape(f1.shape)
-        rec(node.v, _lse_into(f1, f2, child, scratch[:f1.size].reshape(f1.shape)), v_out)
-        rec(node.u, parity_adjusted_add(f1, f2, v_out, out=child), u_out)
-        if soft:
-            v_out *= u_out
-        else:
-            v_out ^= u_out
-
-    try:
-        for lo, hi in zip(starts, [*starts[1:], batch]):
-            rows = slice(lo, hi)
-            shape = (tree.n, hi - lo)
-            feat = root[:tree.n * (hi - lo)].reshape(shape)
-            for i in range(lo, hi, TRANSPOSE_ROWS):
-                np.copyto(feat[:, i - lo:i - lo + TRANSPOSE_ROWS], l2[i:min(i + TRANSPOSE_ROWS, hi)].T)
-            rec(tree.root, feat, codeword[:feat.size].reshape(shape))
-    finally:
-        del rec  # break the closure's self-reference so refcounting frees message
+    for lo, hi in tiles:
+        rows = slice(lo, hi)
+        shape = (tree.n, hi - lo)
+        feat = root[:tree.n * (hi - lo)].reshape(shape)
+        for i in range(lo, hi, TRANSPOSE_ROWS):
+            np.copyto(feat[:, i - lo:i - lo + TRANSPOSE_ROWS], l2[i:min(i + TRANSPOSE_ROWS, hi)].T)
+        out = codeword[:feat.size].reshape(shape)
+        _dumer_node(tree.root, feat, out, decode_leaf, feats, scratch)
     if single:
         return DecodeResult(message[0], None if out_llrs is None else out_llrs[0])
     return DecodeResult(message, out_llrs)
 
+
+def _dumer_node(node, feat: np.ndarray, out: np.ndarray, decode_leaf, feats: dict,
+                scratch: np.ndarray) -> None:
+    """Decode node's subtree from its batch-major (length, rows) feature and
+    write its batch-major codeword, hard bits or soft signs, to out. Leaves
+    go to decode_leaf(leaf, feat, out); feats[w] holds the feature of a
+    width-w child and scratch is lse's workspace."""
+    if isinstance(node, Leaf):
+        decode_leaf(node, feat, out)
+        return
+    half = node.length // 2
+    f1, f2 = feat[:half], feat[half:]
+    u_out, v_out = out[:half], out[half:]
+    child = feats[half][:f1.size].reshape(f1.shape)
+    v_feat = _lse_into(f1, f2, child, scratch[:f1.size].reshape(f1.shape))
+    _dumer_node(node.v, v_feat, v_out, decode_leaf, feats, scratch)
+    u_feat = parity_adjusted_add(f1, f2, v_out, out=child)
+    _dumer_node(node.u, u_feat, u_out, decode_leaf, feats, scratch)
+    if v_out.dtype.kind == "f":
+        v_out *= u_out
+    else:
+        v_out ^= u_out

@@ -169,13 +169,17 @@ def binding_from_nodes(model: KoModel, nodes: list[Node]) -> dict[int, Node]:
     return {id(p): nd for p, nd in zip(params, nodes, strict=True)}
 
 
-def _apply_coordinatewise(block: DenseBlock, binding: dict[int, Node],
-                          features: list[Node]) -> Node:
-    """Run a d-input block over every coordinate of d equal-shape features."""
+def _residual(blocks: dict[int, DenseBlock], node: Internal, binding: dict[int, Node],
+              features: list[Node], base: Node) -> Node:
+    """base plus node's block in blocks run over every coordinate of the d
+    equal-shape features, or base alone where node is not neuralized."""
+    block = blocks.get(node.node_id)
+    if block is None:
+        return base
     batch, width = features[0].shape
     packed = ad.reshape(ad.stack_last(features), (batch * width, len(features)))
     out = block.apply(packed, [binding[id(p)] for p in block.parameters()])
-    return ad.reshape(out, (batch, width))
+    return ad.add(ad.reshape(out, (batch, width)), base)
 
 
 # ---------------------------------------------------------------------------
@@ -233,24 +237,18 @@ def ko_encode_graph(model: KoModel, msg: np.ndarray, binding: dict[int, Node]) -
     msg = np.atleast_2d(as_bits(msg, "message"))
     if msg.shape[1] != model.k:
         raise ValueError(f"message length {msg.shape[1]} != k={model.k}")
+    codeword = _ko_encode_node(model, binding, model.tree.root, msg)
+    return ad.row_normalize(codeword, float(model.n))
 
-    def enc(node) -> Node:
-        if isinstance(node, Leaf):
-            return ad.const(bpsk(encode_leaf(node, msg[:, node.lo:node.hi])))
-        u = enc(node.u)
-        v = enc(node.v)
-        skip = ad.mul(u, v)
-        if node.node_id in model.enc:
-            r = _apply_coordinatewise(model.enc[node.node_id], binding, [u, v])
-            second = ad.add(r, skip)
-        else:
-            second = skip
-        return ad.concat_cols([u, second])
 
-    try:
-        return ad.row_normalize(enc(model.tree.root), float(model.n))
-    finally:
-        del enc  # break the closure's self-reference so refcounting frees the tape
+def _ko_encode_node(model: KoModel, binding: dict[int, Node], node, msg: np.ndarray) -> Node:
+    """The soft-sign codeword node of node's subtree for message words msg."""
+    if isinstance(node, Leaf):
+        return ad.const(bpsk(encode_leaf(node, msg[:, node.lo:node.hi])))
+    u = _ko_encode_node(model, binding, node.u, msg)
+    v = _ko_encode_node(model, binding, node.v, msg)
+    second = _residual(model.enc, node, binding, [u, v], ad.mul(u, v))
+    return ad.concat_cols([u, second])
 
 
 def ko_decode_graph(model: KoModel, y: Node, binding: dict[int, Node]):
@@ -260,44 +258,33 @@ def ko_decode_graph(model: KoModel, y: Node, binding: dict[int, Node]):
     leaf's LLR block placed at its message slice, and leaves is
     model.tree.message_leaves(), the non-frozen leaves in decode order.
     """
-    batch = y.shape[0]
     leaf_llrs: dict[tuple[int, int], Node] = {}
-
-    def dec(node, feat: Node) -> Node:
-        if isinstance(node, Leaf):
-            if node.kind == FROZEN:
-                return ad.const(np.ones((batch, node.length)))
-            llr = softmap_node(node, feat)
-            leaf_llrs[(node.lo, node.hi)] = llr
-            return soft_reencode_node(node, ad.sigmoid(ad.neg(llr)))
-        half = node.length // 2
-        y1 = ad.slice_cols(feat, 0, half)
-        y2 = ad.slice_cols(feat, half, node.length)
-        base = ad.lse_pair(y1, y2)
-        neural = node.node_id in model.dec_left
-        if neural:
-            r = _apply_coordinatewise(model.dec_left[node.node_id], binding, [y1, y2])
-            left = ad.add(r, base)
-        else:
-            left = base
-        v_soft = dec(node.v, left)
-        base_r = ad.add(y1, ad.mul(v_soft, y2))
-        if neural:
-            r = _apply_coordinatewise(model.dec_right[node.node_id], binding,
-                                      [y1, y2, left, v_soft])
-            right = ad.add(r, base_r)
-        else:
-            right = base_r
-        u_soft = dec(node.u, right)
-        return ad.concat_cols([u_soft, ad.mul(u_soft, v_soft)])
-
-    try:
-        dec(model.tree.root, y)
-    finally:
-        del dec  # break the closure's self-reference so refcounting frees the tape
+    _ko_decode_node(model, binding, model.tree.root, y, leaf_llrs)
     ordered = sorted(leaf_llrs.items())
     llrs = ad.concat_cols([nd for _, nd in ordered])
     return llrs, model.tree.message_leaves()
+
+
+def _ko_decode_node(model: KoModel, binding: dict[int, Node], node, feat: Node,
+                    leaf_llrs: dict[tuple[int, int], Node]) -> Node:
+    """Decode node's subtree from its (batch, length) feature node: each
+    message leaf's LLR node goes into leaf_llrs under its message slice,
+    and the soft-sign codeword node of the subtree is returned."""
+    if isinstance(node, Leaf):
+        if node.kind == FROZEN:
+            return ad.const(np.ones((feat.shape[0], node.length)))
+        llr = softmap_node(node, feat)
+        leaf_llrs[(node.lo, node.hi)] = llr
+        return soft_reencode_node(node, ad.sigmoid(ad.neg(llr)))
+    half = node.length // 2
+    y1 = ad.slice_cols(feat, 0, half)
+    y2 = ad.slice_cols(feat, half, node.length)
+    left = _residual(model.dec_left, node, binding, [y1, y2], ad.lse_pair(y1, y2))
+    v_soft = _ko_decode_node(model, binding, node.v, left, leaf_llrs)
+    right = _residual(model.dec_right, node, binding, [y1, y2, left, v_soft],
+                      ad.add(y1, ad.mul(v_soft, y2)))
+    u_soft = _ko_decode_node(model, binding, node.u, right, leaf_llrs)
+    return ad.concat_cols([u_soft, ad.mul(u_soft, v_soft)])
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,6 @@ class TrainConfig:
 class TrainLog:
     records: list[tuple[str, int, int, float, float]] = field(default_factory=list)
     wall_seconds: float = 0.0
-    checkpoint_path: str | None = None
 
     def add(self, phase: str, epoch: int, step: int, loss: float, gnorm: float):
         self.records.append((phase, epoch, step, loss, gnorm))

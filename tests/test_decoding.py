@@ -31,6 +31,7 @@ from plotkinlab.decoding import (
     majority_decode_repetition,
     map_decode,
     parity_adjusted_add,
+    row_tiles,
     soft_map_llrs,
     soft_reencode,
 )
@@ -295,16 +296,17 @@ class TestDumerDecode:
         assert not res.message.any()
 
     def test_outputs_are_freed_without_the_cycle_collector(self):
-        tree = build_rm_tree(8, 2)
+        """Building, encoding and decoding an RM and a polar tree leave no
+        reference cycle, so refcounting alone frees every array."""
         rng = np.random.default_rng(2)
-        msgs = rng.integers(0, 2, (50, tree.k), dtype=np.uint8)
-        llr = channel_llr(bpsk(tree_encode(tree, msgs)) + rng.standard_normal((50, 256)), 1.0)
         gc.collect()
         gc.disable()
         try:
-            dumer_decode(tree, llr, "soft")
-            dumer_decode(tree, llr, "hard")
-            tree_encode(tree, msgs)
+            for tree in (build_rm_tree(8, 2), build_polar_tree(polar_spec(64, 7))):
+                msgs = rng.integers(0, 2, (50, tree.k), dtype=np.uint8)
+                y = bpsk(tree_encode(tree, msgs)) + rng.standard_normal((50, tree.n))
+                dumer_decode(tree, channel_llr(y, 1.0), "soft")
+                dumer_decode(tree, channel_llr(y, 1.0), "hard")
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -376,6 +378,17 @@ class TestDumerDecode:
 class TestRowTiles:
     """dumer_decode's row tiles change no bit: every batch decodes exactly
     as one tile of all its rows would."""
+
+    @pytest.mark.parametrize("tile", [2, 3, 1024])
+    def test_bounds(self, tile):
+        for rows in (1, tile - 1, tile, tile + 1, 2 * tile - 1, 2 * tile, 2 * tile + 1):
+            bounds = row_tiles(rows, tile)
+            assert bounds[0][0] == 0 and bounds[-1][1] == rows, rows
+            assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:])), rows
+            assert all(hi - lo == tile for lo, hi in bounds[:-1]), rows
+            last = bounds[-1][1] - bounds[-1][0]
+            assert last < 2 * tile and (last >= tile or len(bounds) == 1), rows
+            assert rows == 1 or min(hi - lo for lo, hi in bounds) > 1, rows
 
     # rows per tile: 2^18 floats a tile with a 1,024-row floor. RM(4,4) is
     # one 16-bit full-rate leaf that scores 65,536 codewords a row, so its

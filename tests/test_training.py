@@ -8,9 +8,17 @@ import pytest
 from plotkinlab import autodiff as ad
 from plotkinlab.bits import bpsk
 from plotkinlab.channel import awgn, bursty, rayleigh_fast, transmit
-from plotkinlab.codes import build_rm_tree, tree_encode
+from plotkinlab.codes import build_polar_tree, build_rm_tree, polar_spec, tree_encode
 from plotkinlab.decoding import dumer_decode
-from plotkinlab.ko import build_ko_model, ko_decode, ko_encode, save_checkpoint
+from plotkinlab.ko import (
+    bind,
+    build_ko_model,
+    ko_decode,
+    ko_decode_graph,
+    ko_encode,
+    ko_encode_graph,
+    save_checkpoint,
+)
 from plotkinlab.training import (
     TrainConfig,
     TrainingDiverged,
@@ -312,6 +320,13 @@ class TestTapeLifetime:
             train(model, alternating)
             train(model, softmap)
             ko_decode(model, ko_encode(model, np.ones((4, 4), dtype=np.uint8)))
+            polar = build_ko_model(build_polar_tree(polar_spec(16, 5)),
+                                   {"family": "polar", "n": 16, "k": 5}, "tiny",
+                                   "all_but_root", seed=2)
+            msgs = np.ones((4, 5), dtype=np.uint8)
+            binding = bind(polar, train_encoder=True, train_decoder=True)
+            llrs, _ = ko_decode_graph(polar, ko_encode_graph(polar, msgs, binding), binding)
+            ad.backward(ad.bce_with_logits(llrs, msgs))
             assert gc.collect() == 0
         finally:
             gc.enable()
