@@ -7,13 +7,12 @@ trains them end to end over a simulated channel.
 
 __version__ = "0.1.0"
 
-from .bits import bpsk, hamming_weight, kronecker_generator, plotkin_map, xor_words
+from .bits import bpsk, kronecker_generator
 from .channel import (
     Channel,
     awgn,
     bursty,
     channel_llr,
-    modulate_normalize,
     rayleigh_fast,
     snr_to_sigma,
     transmit,
@@ -25,7 +24,6 @@ from .codes import (
     build_polar_tree,
     build_rm_tree,
     enumerate_codebook,
-    polar_encode,
     polar_reliabilities,
     polar_spec,
     rm_generator_rows,

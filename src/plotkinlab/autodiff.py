@@ -8,8 +8,8 @@ implementations, so taped and untaped results agree bit for bit.
 
 Gradients flow only through nodes reachable from a ``var``; subgraphs built
 purely from ``const`` inputs are skipped during the backward pass, and
-nothing at all is recorded inside ``no_tape()``, where dense blocks run a
-row-tiled kernel (``dense_forward``) with bit-identical values.
+nothing at all is recorded inside ``no_tape()``, where KO runs its dense
+blocks on a row-tiled kernel (``dense_forward``) with bit-identical values.
 """
 from __future__ import annotations
 
@@ -75,6 +75,11 @@ def no_tape():
         yield
     finally:
         _tape.recording = previous
+
+
+def recording() -> bool:
+    """Whether ops on this thread record a tape: False inside no_tape()."""
+    return _tape.recording
 
 
 def _op(value, parents, vjp) -> Node:
@@ -228,12 +233,6 @@ def sum_all(a: Node) -> Node:
                lambda g: (np.broadcast_to(g, a.value.shape).copy(),))
 
 
-def mean_all(a: Node) -> Node:
-    size = a.value.size
-    return _op(a.value.mean(), (a,),
-               lambda g: (np.broadcast_to(g / size, a.value.shape).copy(),))
-
-
 def bce_with_logits(llr: Node, targets) -> Node:
     """Mean binary cross entropy where sigmoid(llr) is the bit-0 probability.
 
@@ -335,9 +334,8 @@ class DenseBlock:
         selu node (add only, on the output layer) sharing one buffer: the
         sum and the SELU value overwrite the product in place, which
         backward never reads but for its shape, so a hidden layer keeps
-        one activation array and the SELU slope."""
-        if not _tape.recording:
-            return Node(dense_forward(x.value, [p.value for p in params]))
+        one activation array and the SELU slope. Without a tape,
+        dense_forward gives the same values from the unpacked features."""
         h = x
         layers = len(self.weights)
         for i in range(layers):
@@ -348,37 +346,47 @@ class DenseBlock:
         return h
 
 
-def dense_forward(x: np.ndarray, params: list[np.ndarray]) -> np.ndarray:
-    """DenseBlock's forward value from its (weight, bias, ...) arrays,
-    without a tape and bit-identical to the taped DenseBlock.apply.
+def dense_forward(features: list[np.ndarray], params: list[np.ndarray]) -> np.ndarray:
+    """DenseBlock's forward value from its (weight, bias, ...) arrays over
+    every coordinate of the d equal-shape (batch, width) features, without
+    a tape: bit-identical to the taped DenseBlock.apply on the
+    (batch * width, d) array that stacks them along a last axis.
 
-    The SELU hidden layers run a tile of rows at a time, in place
-    (h = tile @ W; h += b; SELU), so a tile's activations stay in cache from
-    layer to layer. The row_tiles have TILE_FLOATS // (widest hidden layer)
-    rows, and gemm rounds each row alike whatever the row count. The output
-    layer is one product over all rows, as in the taped block: numpy
-    multiplies by a one-column weight (every KO block's output layer) with
-    gemv, whose BLAS threads split the rows at places that depend on the
-    row count, so tile by tile some rows would round differently.
+    That array is never made whole: each tile of batch rows is packed into
+    one reused buffer, and the SELU hidden layers run on it in place
+    (h = tile @ W; h += b; SELU), so a tile's activations stay in cache
+    from layer to layer. A tile has about TILE_FLOATS // (widest hidden
+    layer) packed rows, and gemm rounds each row alike whatever the row
+    count; but no tile has one row unless the input has, as numpy
+    multiplies a lone row by gemv (see row_tiles). The output layer is one
+    product over all rows, as in the taped block: numpy multiplies by a
+    one-column weight (every KO block's output layer) with gemv, whose BLAS
+    threads split the rows at places that depend on the row count, so tile
+    by tile some rows would round differently.
     """
     weights, biases = params[0::2], params[1::2]
-    h = x
-    if len(weights) > 1:
-        rows = x.shape[0]
-        widest = max(w.shape[1] for w in weights[:-1])
-        tiles = row_tiles(rows, max(1, TILE_FLOATS // widest))
-        span = tiles[-1][1] - tiles[-1][0]
-        h = np.empty((rows, weights[-2].shape[1]))
-        buffers = [np.empty((span, w.shape[1])) for w in weights[:-2]]
-        ex = np.empty(span * widest)
-        for lo, hi in tiles:
-            a = x[lo:hi]
-            for w, b, buf in zip(weights[:-1], biases[:-1], [*buffers, h[lo:hi]]):
-                out = buf[:hi - lo]
-                np.matmul(a, w, out=out)
-                out += b
-                selu_into(out, out, ex[:out.size].reshape(out.shape))
-                a = out
+    batch, width = features[0].shape
+    d = len(features)
+    hidden = [w.shape[1] for w in weights[:-1]]
+    tiles = row_tiles(batch, max(TILE_FLOATS // max(hidden, default=d) // width, 2 // width, 1))
+    span = (tiles[-1][1] - tiles[-1][0]) * width
+    # the last hidden layer's rows, or the packed input of a block with none
+    h = np.empty((batch * width, weights[-1].shape[0]))
+    pack = np.empty((span, d)) if hidden else None
+    buffers = [np.empty((span, n)) for n in hidden[:-1]]
+    ex = np.empty(span * max(hidden, default=0))
+    for lo, hi in tiles:
+        last = h[lo * width:hi * width]
+        a = last if pack is None else pack[:len(last)]
+        view = a.reshape(hi - lo, width, d)
+        for i, f in enumerate(features):
+            view[..., i] = f[lo:hi]
+        for w, b, buf in zip(weights[:-1], biases[:-1], [*buffers, last]):
+            out = buf[:len(last)]
+            np.matmul(a, w, out=out)
+            out += b
+            selu_into(out, out, ex[:out.size].reshape(out.shape))
+            a = out
     y = h @ weights[-1]
     y += biases[-1]
     return y

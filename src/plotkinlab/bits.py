@@ -1,4 +1,4 @@
-"""GF(2) words, the Plotkin combination and Kronecker generator matrices.
+"""GF(2) words, BPSK, and Kronecker generator and Hadamard matrices.
 
 Bits are numpy ``uint8`` arrays with values in {0, 1}. The last axis is the
 code axis, so every operation broadcasts over leading batch axes. BPSK maps
@@ -25,22 +25,6 @@ def as_bits(w, name: str = "word") -> np.ndarray:
     if not valid:
         raise ValueError(f"{name} entries must all be 0 or 1")
     return arr.astype(np.uint8)
-
-
-def xor_words(u, v) -> np.ndarray:
-    """Coordinate-wise XOR of two equal-length binary words."""
-    ub, vb = as_bits(u, "u"), as_bits(v, "v")
-    if ub.shape[-1] != vb.shape[-1]:
-        raise ValueError(f"length mismatch: {ub.shape[-1]} vs {vb.shape[-1]}")
-    return ub ^ vb
-
-
-def plotkin_map(u, v) -> np.ndarray:
-    """Combine equal-length words into (u, u XOR v), doubling the length."""
-    ub, vb = as_bits(u, "u"), as_bits(v, "v")
-    if ub.shape[-1] != vb.shape[-1]:
-        raise ValueError(f"length mismatch: {ub.shape[-1]} vs {vb.shape[-1]}")
-    return np.concatenate([ub, ub ^ vb], axis=-1)
 
 
 def kronecker_generator(m: int) -> np.ndarray:
@@ -79,11 +63,6 @@ def parity_table(m: int) -> np.ndarray:
     table = (hadamard_matrix(m) < 0).astype(np.uint8)
     table.flags.writeable = False
     return table
-
-
-def hamming_weight(w) -> int:
-    """Number of 1-entries in a binary word."""
-    return int(np.sum(as_bits(w)))
 
 
 def bpsk(w) -> np.ndarray:

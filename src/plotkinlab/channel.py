@@ -1,4 +1,4 @@
-"""Modulation, power normalization, noise models and channel LLRs.
+"""Noise models, the SNR convention and channel LLRs.
 
 SNR convention: snr_db = -20*log10(sigma) under unit average symbol energy,
 so 0 dB means sigma = 1. Every transmitted codeword satisfies the hard power
@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .bits import bpsk
 
 AWGN = "awgn"
 RAYLEIGH = "rayleigh"
@@ -78,27 +76,6 @@ def snr_to_sigma(snr_db: float) -> float:
 
 def sigma_to_snr(sigma: float) -> float:
     return float(-20.0 * np.log10(sigma))
-
-
-def modulate_normalize(c) -> np.ndarray:
-    """Map a codeword (or batch) to real symbols with energy exactly n.
-
-    Binary input goes through BPSK, which already satisfies the power
-    constraint. Real input is rescaled per codeword to sqrt(n) * c / ||c||;
-    an all-zero real codeword has no direction and is rejected.
-    """
-    arr = np.asarray(c)
-    if arr.dtype.kind in "ui" or arr.dtype == bool:
-        return bpsk(arr)
-    arr = arr.astype(np.float64)
-    single = arr.ndim == 1
-    arr = np.atleast_2d(arr)
-    n = arr.shape[1]
-    norms = np.linalg.norm(arr, axis=1, keepdims=True)
-    if np.any(norms == 0):
-        raise ValueError("cannot normalize an all-zero codeword")
-    out = np.sqrt(n) * arr / norms
-    return out[0] if single else out
 
 
 def draw_noise(ch: Channel, shape, rng: np.random.Generator):

@@ -442,23 +442,3 @@ def _polar_node(active: np.ndarray, ids: Iterator[int], p_lo: int, p_hi: int,
     v = _polar_node(active, ids, p_lo, mid, hi - kv, hi)
     u = _polar_node(active, ids, mid, p_hi, lo, hi - kv)
     return Internal(node_id, v, u, size)
-
-
-def polar_encode(spec: PolarSpec, msg) -> np.ndarray:
-    """Encode via the Kronecker generator with frozen positions held at zero.
-
-    Message bits fill the active positions in descending message order
-    (the first-decoded position carries the last message bit), which makes
-    this matrix path identical to evaluating the collapsed Plotkin tree.
-    """
-    arr = as_bits(msg, "message")
-    single = arr.ndim == 1
-    arr = np.atleast_2d(arr)
-    if arr.shape[1] != spec.k:
-        raise ValueError(f"message length {arr.shape[1]} != k={spec.k}")
-    u = np.zeros((arr.shape[0], spec.n), dtype=np.uint8)
-    cols = [i - 1 for i in spec.active_set]
-    u[:, cols] = arr[:, ::-1]
-    out = (u @ kronecker_generator(spec.m)) % 2
-    out = out.astype(np.uint8)
-    return out[0] if single else out

@@ -232,19 +232,6 @@ def ko_system(model, binarized: bool = False) -> CodeSystem:
                       decode_ops=lambda: tree_decode_ops(model.tree, soft=True, model=model))
 
 
-def random_guess_system(k: int, n: int, seed: int = 0) -> CodeSystem:
-    """Control decoder that guesses uniformly; BER calibrates to one half."""
-    state = np.random.default_rng(seed)
-
-    def encode(msgs):
-        return bpsk(msgs) if k == n else np.ones((msgs.shape[0], n))
-
-    def decode(y, sigma):
-        return state.integers(0, 2, size=(y.shape[0], k), dtype=np.uint8)
-
-    return CodeSystem("random", "guess", k, n, encode, decode, decode_ops=OpCounter)
-
-
 # ---------------------------------------------------------------------------
 # Monte-Carlo simulation
 # ---------------------------------------------------------------------------

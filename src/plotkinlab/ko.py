@@ -172,14 +172,22 @@ def binding_from_nodes(model: KoModel, nodes: list[Node]) -> dict[int, Node]:
 def _residual(blocks: dict[int, DenseBlock], node: Internal, binding: dict[int, Node],
               features: list[Node], base: Node) -> Node:
     """base plus node's block in blocks run over every coordinate of the d
-    equal-shape features, or base alone where node is not neuralized."""
+    equal-shape features, or base alone where node is not neuralized.
+    Without a tape the block runs on the features themselves, which
+    dense_forward packs a tile at a time, so no (batch * width, d) copy is
+    made."""
     block = blocks.get(node.node_id)
     if block is None:
         return base
     batch, width = features[0].shape
-    packed = ad.reshape(ad.stack_last(features), (batch * width, len(features)))
-    out = block.apply(packed, [binding[id(p)] for p in block.parameters()])
-    return ad.add(ad.reshape(out, (batch, width)), base)
+    params = [binding[id(p)] for p in block.parameters()]
+    if ad.recording():
+        packed = ad.reshape(ad.stack_last(features), (batch * width, len(features)))
+        out = ad.reshape(block.apply(packed, params), (batch, width))
+    else:
+        out = Node(ad.dense_forward([f.value for f in features], [p.value for p in params])
+                   .reshape(batch, width))
+    return ad.add(out, base)
 
 
 # ---------------------------------------------------------------------------

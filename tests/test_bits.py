@@ -3,15 +3,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plotkinlab.bits import (
-    KERNEL,
-    as_bits,
-    bpsk,
-    hamming_weight,
-    kronecker_generator,
-    plotkin_map,
-    xor_words,
-)
+from plotkinlab.bits import KERNEL, as_bits, bpsk, kronecker_generator
+
+
+def xor_words(u, v) -> np.ndarray:
+    """Coordinate-wise XOR of two equal-length binary words."""
+    ub, vb = as_bits(u, "u"), as_bits(v, "v")
+    if ub.shape[-1] != vb.shape[-1]:
+        raise ValueError(f"length mismatch: {ub.shape[-1]} vs {vb.shape[-1]}")
+    return ub ^ vb
+
+
+def plotkin_map(u, v) -> np.ndarray:
+    """Combine equal-length words into (u, u XOR v), doubling the length."""
+    ub, vb = as_bits(u, "u"), as_bits(v, "v")
+    if ub.shape[-1] != vb.shape[-1]:
+        raise ValueError(f"length mismatch: {ub.shape[-1]} vs {vb.shape[-1]}")
+    return np.concatenate([ub, ub ^ vb], axis=-1)
+
+
+def hamming_weight(w) -> int:
+    """Number of 1-entries in a binary word."""
+    return int(np.sum(as_bits(w)))
+
 
 words = st.lists(st.integers(0, 1), min_size=1, max_size=64)
 

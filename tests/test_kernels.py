@@ -3,11 +3,12 @@
 Each reference below is the straightforward expression the kernel computes:
 the np.stack butterfly transform, the GF(2) matmul first-order encoder, the
 codeword rebuilt from a float Hadamard row, the arithmetic BPSK map and
-channel, the taped dense block, the np.prod soft re-encoder and its
-np.delete pullback, the brute-force max-log search over a leaf's codebook,
-the soft-MAP node that forms its argmax pair eagerly, and the allocating
-forms of lse, stable_sigmoid, parity_adjusted_add and the SELU slope. The
-kernels must reproduce them bit for bit, not just to rounding.
+channel, the taped dense block on its stacked input, the np.prod soft
+re-encoder and its np.delete pullback, the brute-force max-log search over
+a leaf's codebook, the soft-MAP node that forms its argmax pair eagerly,
+and the allocating forms of lse, stable_sigmoid, parity_adjusted_add and
+the SELU slope. The kernels must reproduce them bit for bit, not just to
+rounding.
 """
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -50,6 +51,7 @@ from plotkinlab.decoding import (
     map_decode,
     max_log_llrs,
     parity_adjusted_add,
+    row_tiles,
     soft_map_llrs,
     soft_reencode,
     softmap_forward,
@@ -217,13 +219,32 @@ class TestBitsAndChannel:
 
 
 def dense_tile(widths):
-    """Rows per tile of an untaped block: TILE_FLOATS over its widest hidden layer."""
+    """Packed rows per tile of an untaped block on width-1 features:
+    TILE_FLOATS over its widest hidden layer."""
     return ad.TILE_FLOATS // max(widths[1:-1])
 
 
+def columns(x):
+    """The (rows, 1) column features whose packed array is x."""
+    return [x[:, i:i + 1] for i in range(x.shape[1])]
+
+
+def values(params):
+    return [p.value for p in params]
+
+
+def taped_block(block, features, params):
+    """ko._residual's taped path: the features stacked along a last axis,
+    reshaped to (batch * width, d) and run through the taped block."""
+    batch, width = features[0].shape
+    packed = ad.stack_last([ad.const(f) for f in features])
+    return block.apply(ad.reshape(packed, (batch * width, len(features))), params)
+
+
 class TestDenseKernel:
-    """The untaped DenseBlock.apply (row tiles, in place) against the taped
-    one, which runs each layer over all rows as separate tape operations."""
+    """dense_forward (the features packed a row tile at a time, in place)
+    against the taped DenseBlock.apply on the packed array, which runs each
+    layer over all rows as separate tape operations."""
 
     @pytest.mark.parametrize("widths", [[2, 32, 32, 32, 1], [4, 32, 32, 32, 1],
                                         [2, 4, 1], [4, 4, 1]], ids=str)
@@ -242,10 +263,9 @@ class TestDenseKernel:
             before = x.copy()
             with np.errstate(over="ignore", invalid="ignore"):
                 taped = block.apply(ad.const(x), params)
-                with ad.no_tape():
-                    plain = block.apply(ad.const(x), params)
-            assert taped.parents and not plain.parents
-            assert same_bits(plain.value, taped.value), rows
+                plain = ad.dense_forward(columns(x), values(params))
+            assert taped.parents
+            assert same_bits(plain, taped.value), rows
             assert same_bits(x, before)
 
     @pytest.mark.parametrize("rows", [0, 1, 2, 7])
@@ -256,9 +276,46 @@ class TestDenseKernel:
             params = [ad.const(p) for p in block.parameters()]
             x = rng.standard_normal((rows, widths[0]))
             taped = block.apply(ad.const(x), params).value
-            with ad.no_tape():
-                plain = block.apply(ad.const(x), params).value
-            assert same_bits(plain, taped)
+            assert same_bits(ad.dense_forward(columns(x), values(params)), taped)
+
+    @pytest.mark.parametrize("tile_floats", [1, 256])
+    @pytest.mark.parametrize("width", [1, 2, 128])
+    @pytest.mark.parametrize("widths", [[2, 32, 32, 32, 1], [4, 4, 1], [3, 1]], ids=str)
+    def test_column_slice_features(self, monkeypatch, tile_floats, width, widths):
+        """Non-contiguous (batch, width) column slices of one array, as
+        slice_cols makes them, with signed zeros, infinities, NaNs and
+        subnormals, at one batch row and at a tile of batch rows less one,
+        exact and plus one; no tile packs one row unless the input has one."""
+        monkeypatch.setattr(ad, "TILE_FLOATS", tile_floats)
+        tiles_made = []
+
+        def spy(rows, tile):
+            tiles_made.append((rows, tile))
+            return row_tiles(rows, tile)
+
+        monkeypatch.setattr(ad, "row_tiles", spy)
+        rng = np.random.default_rng(tile_floats + width + sum(widths))
+        block = ad.init_weights(ad.DenseBlock.zeros(widths), rng, std=0.5)
+        params = [ad.const(p) for p in block.parameters()]
+        d = widths[0]
+        ad.dense_forward([np.zeros((1, width))] * d, values(params))
+        tile = tiles_made.pop()[1]
+        batches = sorted({1, max(tile - 1, 1), tile, tile + 1, 2 * tile + 1})
+        for batch in batches:
+            y = special_inputs(rng, batch, (d + 1) * width)
+            y[rng.random(y.shape) < 0.02] = np.nan
+            before = y.copy()
+            features = [y[:, i * width:(i + 1) * width] for i in range(1, d + 1)]
+            assert batch == 1 or not features[0].flags.c_contiguous
+            with np.errstate(over="ignore", invalid="ignore"):
+                taped = taped_block(block, features, params)
+                plain = ad.dense_forward(features, values(params))
+            assert same_bits(plain, taped.value), batch
+            assert same_bits(y, before)
+        assert [batch for batch, _ in tiles_made] == batches
+        for batch, tile in tiles_made:
+            rows = [(hi - lo) * width for lo, hi in row_tiles(batch, tile)]
+            assert min(rows) > 1 or batch * width == 1, (batch, rows)
 
 
 def reference_soft_reencode(leaf, p):

@@ -122,7 +122,8 @@ def test_bler_decomposition_charges_the_first_wrong_leaf(system_args, seed, snr_
     assert bler == (decoded != msgs).any(axis=1).mean()
 
 
-# Dense-block tiles of 2 rows for width-32 layers and 16 for width-4 ones.
+# Dense-block tiles of about 2 packed rows for width-32 layers and 16 for
+# width-4 ones, but at least one whole batch row.
 SMALL_TILE_FLOATS = 64
 
 
