@@ -355,14 +355,14 @@ def dense_forward(features: list[np.ndarray], params: list[np.ndarray]) -> np.nd
     That array is never made whole: each tile of batch rows is packed into
     one reused buffer, and the SELU hidden layers run on it in place
     (h = tile @ W; h += b; SELU), so a tile's activations stay in cache
-    from layer to layer. A tile has about TILE_FLOATS // (widest hidden
-    layer) packed rows, and gemm rounds each row alike whatever the row
-    count; but no tile has one row unless the input has, as numpy
-    multiplies a lone row by gemv (see row_tiles). The output layer is one
-    product over all rows, as in the taped block: numpy multiplies by a
-    one-column weight (every KO block's output layer) with gemv, whose BLAS
-    threads split the rows at places that depend on the row count, so tile
-    by tile some rows would round differently.
+    from layer to layer. Even tiles of at least TILE_FLOATS // (widest
+    hidden layer) packed rows cover the batch, and gemm rounds each row
+    alike whatever the row count; but no tile has one row unless the input
+    has, as numpy multiplies a lone row by gemv (see row_tiles). The output
+    layer is one product over all rows, as in the taped block: numpy
+    multiplies by a one-column weight (every KO block's output layer) with
+    gemv, whose BLAS threads split the rows at places that depend on the
+    row count, so tile by tile some rows would round differently.
     """
     weights, biases = params[0::2], params[1::2]
     batch, width = features[0].shape

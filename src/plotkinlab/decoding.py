@@ -178,12 +178,12 @@ def fht(l) -> np.ndarray:
 
 
 def row_tiles(rows: int, tile: int) -> list[tuple[int, int]]:
-    """(lo, hi) bounds of consecutive tiles of tile rows that cover rows
-    0:rows, the last taking the remainder too, so it is the largest and no
-    tile has one row unless rows is 1: numpy multiplies a lone row by gemv,
-    which rounds differently from the gemm of larger tiles."""
-    starts = range(0, max(rows - tile, 0) + 1, tile)
-    return list(zip(starts, [*starts[1:], rows]))
+    """(lo, hi) bounds of max(rows // tile, 1) tiles that cover rows 0:rows,
+    within a row of one another in size, the last the largest. Each has tile
+    to 2 * tile - 1 rows, or all rows, so none has one row unless rows or
+    tile is 1: numpy multiplies a lone row by gemv, which rounds unlike gemm."""
+    count = max(rows // tile, 1)
+    return [(rows * i // count, rows * (i + 1) // count) for i in range(count)]
 
 
 def fht_tiles(rows: np.ndarray):
@@ -415,7 +415,7 @@ def dumer_decode(tree: PlotkinTree, llr, leaf_rule: str = HARD_MAP) -> DecodeRes
     the soft-sign lift of the sigmoid bit probabilities (the classical
     skeleton of the KO decoder). Input LLRs are clipped to +/-LLR_LIMIT.
 
-    The recursion runs over row_tiles of max(FHT_TILE_ROWS,
+    The recursion runs over even row_tiles of at least max(FHT_TILE_ROWS,
     DECODE_TILE_FLOATS // n) rows, so every tile decodes bit for bit as one
     tile of the whole batch would: below the floor BLAS would round the
     rows of its products differently.
